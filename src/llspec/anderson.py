@@ -19,7 +19,6 @@ disjoint windows are independent regardless of how the line is sharded.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from numpy.random import Philox
 
 from .errors import DomainError
 from .jacobi import TridiagonalMatrix, tridiag_eigs_batch
-from .measure import AtomicMeasure, measure_cdf_mid, mu_value
+from .measure import AtomicMeasure, _coalesce_tol, measure_cdf_mid, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
 _PHILOX_PERIOD_BLOCKS = 2 ** 256
@@ -106,58 +105,69 @@ def build_jacobi_sample(window: DisorderWindow, mu: float) -> JacobiSample:
     return JacobiSample(diag=diag, offdiag=offdiag, window=window, mu=float(mu))
 
 
-def block_decompose(sample: JacobiSample) -> list[TridiagonalMatrix]:
-    """Split the sample at vanishing bonds into finite tridiagonal blocks."""
+def _block_bounds(sample: JacobiSample) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and size of each block; a vanishing bond ends a block."""
     cuts = np.flatnonzero(sample.offdiag == 0.0)
     starts = np.concatenate(([0], cuts + 1))
-    ends = np.concatenate((cuts + 1, [len(sample.diag)]))
+    sizes = np.diff(starts, append=len(sample.diag))
+    return starts, sizes
+
+
+def block_decompose(sample: JacobiSample) -> list[TridiagonalMatrix]:
+    """Split the sample at vanishing bonds into finite tridiagonal blocks."""
+    starts, sizes = _block_bounds(sample)
     return [
-        TridiagonalMatrix(diag=sample.diag[s:e], offdiag=sample.offdiag[s : e - 1])
-        for s, e in zip(starts, ends)
+        TridiagonalMatrix(diag=sample.diag[s : s + n], offdiag=sample.offdiag[s : s + n - 1])
+        for s, n in zip(starts.tolist(), sizes.tolist())
     ]
 
 
-def _interior_blocks(sample: JacobiSample) -> list[TridiagonalMatrix]:
-    """Blocks not touching the window edges (those carry truncation bias)."""
-    return block_decompose(sample)[1:-1]
+def _interior_rows(sample: JacobiSample) -> dict[int, np.ndarray]:
+    """Interior blocks by size, one row (diag then offdiag) per block.
+
+    The first and last blocks touch the window edges and carry truncation
+    bias, so they are left out.
+    """
+    starts, sizes = _block_bounds(sample)
+    starts, sizes = starts[1:-1], sizes[1:-1]
+    rows = {}
+    for size in np.unique(sizes).tolist():
+        idx = starts[sizes == size][:, None] + np.arange(size)
+        rows[size] = np.hstack((sample.diag[idx], sample.offdiag[idx[:, :-1]]))
+    return rows
 
 
-def _solve_group(args):
-    diags, offs, tol = args
-    return tridiag_eigs_batch(diags, offs, tol=tol)
-
-
-def empirical_ids(
-    samples: list[JacobiSample], tol: float = 1e-11, workers: int = 1
-) -> EmpiricalIDS:
+def empirical_ids(samples: list[JacobiSample], tol: float = 1e-11) -> EmpiricalIDS:
     """Pool eigenvalues of all interior blocks with uniform site weights.
 
-    Blocks are grouped by size and solved in vectorized batches; the merge is
-    a plain sort, so the result does not depend on grouping or worker count.
+    Blocks of one size are grouped by their exact bytes and each distinct
+    block is solved once; its eigenvalues then count once per copy.  Grouping
+    looks only at the sampled entries, never at the closed-form block
+    profile, so the pooled spectrum stays an independent check of the G_k
+    zeros.
     """
     if not samples:
         raise DomainError("need at least one sample")
     mu = samples[0].mu
-    by_size: dict[int, list[TridiagonalMatrix]] = {}
+    by_size: dict[int, list[np.ndarray]] = {}
     for sample in samples:
         if sample.mu != mu:
             raise DomainError("all samples must share one parameter value")
-        for block in _interior_blocks(sample):
-            by_size.setdefault(block.n, []).append(block)
+        for size, rows in _interior_rows(sample).items():
+            by_size.setdefault(size, []).append(rows)
     if not by_size:
         raise DomainError("no interior blocks; windows too short")
-    tasks = []
+    pooled = []
     for size in sorted(by_size):
-        group = by_size[size]
-        diags = np.stack([b.diag for b in group])
-        offs = np.stack([b.offdiag for b in group])
-        tasks.append((diags, offs, tol))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_group, tasks))
-    else:
-        results = [_solve_group(t) for t in tasks]
-    pooled = np.sort(np.concatenate([r.ravel() for r in results]))
+        rows = np.concatenate(by_size[size])
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        distinct = rows[first]
+        # copies never change the batch's widest bracket, so each block gets
+        # the same bisection steps, and bits, as when every copy is solved
+        eigs = tridiag_eigs_batch(distinct[:, :size], distinct[:, size:], tol=tol)
+        pooled.append(np.repeat(eigs, counts, axis=0).ravel())
+    pooled = np.sort(np.concatenate(pooled))
     return EmpiricalIDS(eigenvalues=pooled, site_count=len(pooled), mu=mu)
 
 
@@ -187,7 +197,7 @@ def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> Compariso
     if checkpoints.size == 0:
         raise DomainError("need at least one checkpoint")
     positions = np.array([a.position for a in theoretical.atoms])
-    coal = 1e-9 * max(1.0, abs(4.0 - mu_value(theoretical.mu)) + abs(4.0 + mu_value(theoretical.mu)))
+    coal = _coalesce_tol(mu_value(theoretical.mu))
     for c in checkpoints:
         if positions.size and np.min(np.abs(positions - c)) < coal:
             raise DomainError(f"checkpoint {c} sits on an atom position")

@@ -12,33 +12,33 @@ The parameter is passed as a tagged string ("float:0.3", "rat:7/6",
 are accepted as floats and bare p/q as rationals.  Reals are printed with 17
 significant digits, rationals as "p/q".  With --check, commands exit 3 when
 their acceptance threshold is breached (override via --tol); domain and
-capacity errors exit 2.  The level cap honors the LLSPEC_NMAX environment
-variable.
+capacity errors exit 2, and a solver that fails to converge exits 4.  The
+level cap honors the LLSPEC_NMAX environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import anderson, ghpolys, jacobi, lamplighter, measure, novikov
-from .errors import CapacityError, DomainError, InsufficientDataError
+from .errors import CapacityError, ConvergenceError, DomainError, InsufficientDataError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CHECK = 3
+EXIT_CONVERGENCE = 4
+
+_REAL = ".17g"  # 17 significant digits round-trip every double
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return format(x, ".17g")
+        return format(x, _REAL)
     return str(x)
 
 
@@ -63,24 +63,38 @@ def _write_text(out_path: str | None, text: str):
             fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+def _csv_column(values) -> list[str]:
+    """Cells of one column; a float array formats each distinct value once.
+
+    Values are told apart by bit pattern, so 0.0 and -0.0 keep their own text.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        cells = np.array([format(v, _REAL) for v in distinct.view(np.float64).tolist()], dtype=object)
+        return cells[inverse].tolist()
+    return [_fmt(v) for v in values]
+
+
+def _csv_text(header, columns) -> str:
+    """Header line, then one line per row; `columns` holds one sequence per field.
+
+    No cell needs quoting: reals, integers, p/q masses, ';'-joined indices and
+    fixed labels never contain a comma, a quote or a line break.
+    """
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*(_csv_column(c) for c in columns)))
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, header, rows, payload):
+def _emit(args, header, columns, payload):
     if args.format == "json":
         _write_text(args.out, _json_text(payload))
     else:
-        _write_text(args.out, _csv_text(header, rows))
+        _write_text(args.out, _csv_text(header, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +129,7 @@ def _cmd_char_poly(args) -> int:
         "max_rel_err": worst,
         "rows": [dict(zip(("lam", "phi_det", "phi_factorized", "rel_err"), r)) for r in rows],
     }
-    _emit(args, ("lam", "phi_det", "phi_factorized", "rel_err"), rows, payload)
+    _emit(args, ("lam", "phi_det", "phi_factorized", "rel_err"), zip(*rows), payload)
     if args.check:
         bound = args.tol if args.tol is not None else 1e-8
         if not signs_ok or worst > bound:
@@ -129,7 +143,7 @@ def _cmd_eigs(args) -> int:
     eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, mu))
     rows = [(i, v) for i, v in enumerate(eigs)]
     payload = {"mu": args.mu, "level": args.level, "eigenvalues": [float(v) for v in eigs]}
-    _emit(args, ("index", "eigenvalue"), rows, payload)
+    _emit(args, ("index", "eigenvalue"), zip(*rows), payload)
     if args.check:
         tol = args.tol if args.tol is not None else 1e-8
         if len(eigs) != 1 << args.level or np.min(np.abs(eigs - (4.0 - mu))) > tol:
@@ -158,7 +172,7 @@ def _cmd_zeros(args) -> int:
         "depth": args.depth,
         "rows": [dict(zip(("k", "index", "zero", "residual", "residual_relative"), r)) for r in rows],
     }
-    _emit(args, ("k", "index", "zero", "residual", "residual_relative"), rows, payload)
+    _emit(args, ("k", "index", "zero", "residual", "residual_relative"), zip(*rows), payload)
     if args.check and not ok:
         return EXIT_CHECK
     return EXIT_OK
@@ -196,7 +210,7 @@ def _cmd_spectrum(args) -> int:
         "pencil_lo", "pencil_hi", "accumulation_point",
         "jstar_lo", "jstar_hi", "isolated_eigenvalue", "isolated_mass",
     )
-    _emit(args, header, rows, payload)
+    _emit(args, header, zip(*rows), payload)
     return EXIT_OK
 
 
@@ -212,7 +226,7 @@ def _cmd_measure(args) -> int:
     rows.append(
         ("tail", "", f"{trunc.tail_mass.numerator}/{trunc.tail_mass.denominator}", "", "")
     )
-    _emit(args, ("kind", "position", "mass", "indices", "class"), rows, payload)
+    _emit(args, ("kind", "position", "mass", "indices", "class"), zip(*rows), payload)
     if args.check and trunc.total_mass() != 1:
         return EXIT_CHECK
     return EXIT_OK
@@ -232,7 +246,7 @@ def _cmd_multiplicity(args) -> int:
         "level": args.level,
         "rows": [dict(zip(("lam", "multiplicity", "is_root"), r)) for r in rows],
     }
-    _emit(args, ("lam", "multiplicity", "is_root"), rows, payload)
+    _emit(args, ("lam", "multiplicity", "is_root"), zip(*rows), payload)
     if args.check:
         eigs = lamplighter.dense_eigs(
             lamplighter.pencil_matrix(lamplighter.build_level(args.level),
@@ -270,7 +284,7 @@ def _cmd_joint_spectrum(args) -> int:
         "depth": args.depth,
         "rows": [dict(zip(("mu", "k", "zero", "inside_strip"), r)) for r in rows],
     }
-    _emit(args, ("mu", "k", "zero", "inside_strip"), rows, payload)
+    _emit(args, ("mu", "k", "zero", "inside_strip"), zip(*rows), payload)
     if args.check and not ok:
         return EXIT_CHECK
     return EXIT_OK
@@ -281,12 +295,11 @@ def _cmd_dos(args) -> int:
     mu = measure.mu_value(mu_param)
     window = anderson.sample_window(args.seed, 0, args.sites)
     sample = anderson.build_jacobi_sample(window, mu)
-    ids = anderson.empirical_ids([sample], workers=args.workers)
+    ids = anderson.empirical_ids([sample])
     trunc = measure.measure_truncation(mu_param, args.depth)
     checkpoints = anderson.default_checkpoints(trunc, count=50)
     report = anderson.compare_ids(ids, trunc, checkpoints)
     weights = np.arange(1, ids.site_count + 1) / ids.site_count
-    rows = list(zip((float(v) for v in ids.eigenvalues), (float(w) for w in weights)))
     payload = {
         "mu": args.mu,
         "sites": args.sites,
@@ -299,7 +312,7 @@ def _cmd_dos(args) -> int:
         "empirical_cdf": list(report.empirical_cdf),
         "theoretical_mid": list(report.theoretical_mid),
     }
-    _emit(args, ("eigenvalue", "cumulative_weight"), rows, payload)
+    _emit(args, ("eigenvalue", "cumulative_weight"), (ids.eigenvalues, weights), payload)
     if args.check:
         bound = args.tol if args.tol is not None else 0.02
         if report.sup_deviation >= bound:
@@ -313,7 +326,7 @@ def _cmd_ns(args) -> int:
     mu = frac if frac is not None else measure.mu_value(mu_param)
     seq = novikov.gap_sequence(mu, args.depth)
     rate = novikov.decay_rate(seq)
-    inv = novikov.ns_invariant(mu, args.depth)
+    inv = novikov.ns_invariant(mu, args.depth, seq=seq)
     rows = [(e.m, e.x_m, e.gap, e.log2_gap) for e in seq.entries]
     payload = {
         "mu": args.mu,
@@ -323,7 +336,7 @@ def _cmd_ns(args) -> int:
         "empirical": inv.empirical,
         "rows": [dict(zip(("m", "x_m", "gap", "log2_gap"), r)) for r in rows],
     }
-    _emit(args, ("m", "x_m", "gap", "log2_gap"), rows, payload)
+    _emit(args, ("m", "x_m", "gap", "log2_gap"), zip(*rows), payload)
     if args.check:
         muf = float(mu)
         rate_ok = abs(rate * muf * muf - 1.0) <= (args.tol if args.tol is not None else 0.02)
@@ -339,7 +352,7 @@ def _cmd_ns(args) -> int:
 
 
 def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False,
-                sites=False, workers=False):
+                sites=False):
     if mu:
         sub.add_argument("--mu", required=True, help="parameter, e.g. float:0.3 or rat:7/6")
     if level:
@@ -358,8 +371,6 @@ def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False
         sub.add_argument("--seed", type=int, default=0)
     if sites:
         sub.add_argument("--sites", type=int, default=100000)
-    if workers:
-        sub.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--check", action="store_true", help="exit 3 if the acceptance bound fails")
@@ -402,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_joint_spectrum)
 
     sub = subs.add_parser("dos", help="empirical density of states vs the measure")
-    _add_common(sub, mu=True, depth=12, seed=True, sites=True, workers=True)
+    _add_common(sub, mu=True, depth=12, seed=True, sites=True)
     sub.set_defaults(func=_cmd_dos)
 
     sub = subs.add_parser("ns", help="gap decay and spectral power-law exponent")
@@ -413,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; a ConvergenceError propagates."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -422,5 +434,14 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run(argv=None) -> int:
+    """Process entry point: `main`, with a solver that did not converge as exit 4."""
+    try:
+        return main(argv)
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(run())

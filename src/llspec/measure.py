@@ -80,6 +80,10 @@ class FloatMu:
 
     x: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise DomainError(f"parameter must be finite, got {self.x!r}")
+
 
 @dataclass(frozen=True)
 class RationalMu:

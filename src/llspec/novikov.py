@@ -160,18 +160,21 @@ def decay_rate(seq: GapSequence) -> float:
     return float(math.exp(slope))
 
 
-def ns_invariant(mu, M: int = 60) -> NsInvariant:
+def ns_invariant(mu, M: int = 60, seq: GapSequence | None = None) -> NsInvariant:
     """Closed-form and regression estimates of the power-law exponent.
 
     closed_form = log 2 / (2 log mu).  The empirical value regresses the
     accumulated mass exponent log(2^-m) on the interval-length exponent
-    log(gap_m) over the tail window of a depth-M gap sequence.
+    log(gap_m) over the tail window of a depth-M gap sequence.  A caller that
+    already holds `gap_sequence(mu, M)` passes it as `seq` to skip rebuilding.
     """
     muf = float(mu)
     if muf <= 1.0:
         raise DomainError("the exponent is defined for mu > 1")
     closed = _LN2 / (2.0 * math.log(muf))
-    window = _tail_window(gap_sequence(mu, M).entries)
+    if seq is None:
+        seq = gap_sequence(mu, M)
+    window = _tail_window(seq.entries)
     xs = np.array([e.log2_gap * _LN2 for e in window])
     ys = np.array([-e.m * _LN2 for e in window])
     slope = np.polyfit(xs, ys, 1)[0]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from llspec.anderson import (
     DisorderWindow,
@@ -160,12 +162,24 @@ def test_spectrum_gap_contains_only_outlier_atoms():
         assert np.min(np.abs(outliers - eig)) < 1e-6
 
 
-def test_worker_sharding_is_deterministic():
-    sample = build_jacobi_sample(sample_window(8, 0, 4000), 0.7)
-    serial = empirical_ids([sample], workers=1)
-    parallel = empirical_ids([sample], workers=2)
-    assert serial.site_count == parallel.site_count
-    assert (serial.eigenvalues == parallel.eigenvalues).all()
+_MU_VALUES = st.sampled_from([0.0, 1.0, -1.0, 1.5]) | st.floats(-6.0, 6.0, allow_nan=False)
+
+
+@given(
+    windows=st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=200), min_size=1, max_size=3),
+    mu=_MU_VALUES,
+)
+@settings(max_examples=100, deadline=None)
+def test_deduplicated_ids_match_per_block_solves(windows, mu):
+    samples = [_sample_from_bits(bits, mu) for bits in windows]
+    blocks = [b for s in samples for b in block_decompose(s)[1:-1]]
+    assume(blocks)
+    expected = np.sort(np.concatenate([tridiag_eigs(b, tol=1e-11) for b in blocks]))
+    ids = empirical_ids(samples)
+    assert ids.site_count == len(expected) == sum(b.n for b in blocks)
+    assert np.array_equal(ids.eigenvalues, expected)
+    # bit for bit: the same multiset of float64 patterns (0.0 and -0.0 apart)
+    assert (np.sort(ids.eigenvalues.view(np.uint64)) == np.sort(expected.view(np.uint64))).all()
 
 
 def test_multiple_windows_pool():

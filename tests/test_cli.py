@@ -1,11 +1,14 @@
 """Command-line surface: outputs, determinism, exit codes, env override."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from llspec.cli import EXIT_CHECK, EXIT_DOMAIN, EXIT_OK, main
+from llspec import lamplighter
+from llspec.cli import EXIT_CHECK, EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_OK, main, run
+from llspec.errors import ConvergenceError
 
 
 def _run(capsys, *argv):
@@ -112,7 +115,7 @@ def test_joint_spectrum_check(capsys):
 def test_dos_report_and_check(capsys):
     code, out, _ = _run(
         capsys, "dos", "--mu", "float:0.3", "--sites", "20000", "--seed", "7",
-        "--depth", "10", "--format", "json", "--check", "--workers", "1",
+        "--depth", "10", "--format", "json", "--check",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -123,10 +126,20 @@ def test_dos_report_and_check(capsys):
 def test_dos_check_breach_exit(capsys):
     code, _, _ = _run(
         capsys, "dos", "--mu", "float:0.3", "--sites", "5000", "--seed", "7",
-        "--depth", "10", "--format", "json", "--check", "--workers", "1",
-        "--tol", "1e-9",
+        "--depth", "10", "--format", "json", "--check", "--tol", "1e-9",
     )
     assert code == EXIT_CHECK
+
+
+def test_dos_csv_bytes_are_pinned(capsys):
+    # digest of the output written before blocks were deduplicated by content
+    code, out, _ = _run(
+        capsys, "dos", "--mu", "float:0.3", "--sites", "100000", "--seed", "7"
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c4c5553026cb4a82375c7f0089927c5a9e11c9721dc0565c693e917e7ea9874a"
+    )
 
 
 def test_ns_summary(capsys):
@@ -145,6 +158,34 @@ def test_domain_errors_exit_two(capsys):
     assert _run(capsys, "measure", "--mu", "rat:1/0", "--depth", "5")[0] == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--mu", "float:nan", "--depth", "5"),
+        ("spectrum", "--mu", "inf"),
+        ("dos", "--mu", "float:-inf", "--sites", "1000"),
+    ],
+)
+def test_non_finite_parameter_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == "" and err.startswith("error: ") and "finite" in err
+
+
+def test_convergence_failure_exits_four(capsys, monkeypatch):
+    def exhausted(matrix):
+        raise ConvergenceError("rotation sweeps exhausted", residual=3.4e-7)
+
+    monkeypatch.setattr(lamplighter, "dense_eigs", exhausted)
+    argv = ["eigs", "--level", "3", "--mu", "float:0.3"]
+    with pytest.raises(ConvergenceError):
+        main(argv)
+    assert run(argv) == EXIT_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: rotation sweeps exhausted"]
+
+
 def test_level_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LLSPEC_NMAX", "2")
     code, _, err = _run(capsys, "eigs", "--level", "3", "--mu", "float:0")
@@ -157,14 +198,14 @@ def test_output_files_are_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     args = ["dos", "--mu", "float:0.3", "--sites", "5000", "--seed", "11",
-            "--depth", "8", "--workers", "1"]
+            "--depth", "8"]
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     out3 = tmp_path / "c.csv"
     assert main(["dos", "--mu", "float:0.3", "--sites", "5000", "--seed", "12",
-                 "--depth", "8", "--workers", "1", "--out", str(out3)]) == EXIT_OK
+                 "--depth", "8", "--out", str(out3)]) == EXIT_OK
     capsys.readouterr()
     assert out1.read_bytes() != out3.read_bytes()
 

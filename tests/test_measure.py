@@ -48,6 +48,14 @@ def test_parse_format_round_trip():
         parse_mu("nonsense:3")
 
 
+@pytest.mark.parametrize("text", ["float:nan", "float:inf", "-inf", "float:-nan"])
+def test_non_finite_parameters_rejected(text):
+    with pytest.raises(DomainError):
+        parse_mu(text)
+    with pytest.raises(DomainError):
+        FloatMu(float(text.removeprefix("float:")))
+
+
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
 @settings(max_examples=50, deadline=None)
 def test_float_round_trip(x):

@@ -82,6 +82,11 @@ def test_closed_forms():
     assert ns_invariant(3.0, 12).closed_form == pytest.approx(0.3154648767857287, abs=1e-12)
 
 
+def test_ns_invariant_reuses_a_built_sequence():
+    seq = gap_sequence(Fraction(5, 2), 20)
+    assert ns_invariant(Fraction(5, 2), 20, seq=seq) == ns_invariant(Fraction(5, 2), 20)
+
+
 def test_empirical_exponent_close_to_closed_form():
     inv = ns_invariant(2.5, 40)
     assert abs(inv.empirical / inv.closed_form - 1.0) < 0.05
