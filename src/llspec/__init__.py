@@ -5,7 +5,7 @@ Library layout:
   chebyshev    second-kind Chebyshev evaluation, ratio limits, zeros
   lamplighter  level matrices, pencil determinants, dense eigen oracle
   ghpolys      the level polynomial family G_k/H_k in three realizations
-  jacobi       J*(mu) truncations, Sturm bisection, m-function, outlier index
+  jacobi       J*(mu) truncations, tridiagonal eigenvalues, m-function, outlier index
   measure      atomic spectral measure, exceptional-set mass calculus
   anderson     random Jacobi operator, empirical density of states
   novikov      gap decay at the accumulation point, power-law exponent

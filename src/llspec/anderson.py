@@ -137,7 +137,7 @@ def _interior_rows(sample: JacobiSample) -> dict[int, np.ndarray]:
     return rows
 
 
-def empirical_ids(samples: list[JacobiSample], tol: float = 1e-11) -> EmpiricalIDS:
+def empirical_ids(samples: list[JacobiSample]) -> EmpiricalIDS:
     """Pool eigenvalues of all interior blocks with uniform site weights.
 
     Blocks of one size are grouped by their exact bytes and each distinct
@@ -163,9 +163,7 @@ def empirical_ids(samples: list[JacobiSample], tol: float = 1e-11) -> EmpiricalI
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first, counts = np.unique(keys, return_index=True, return_counts=True)
         distinct = rows[first]
-        # copies never change the batch's widest bracket, so each block gets
-        # the same bisection steps, and bits, as when every copy is solved
-        eigs = tridiag_eigs_batch(distinct[:, :size], distinct[:, size:], tol=tol)
+        eigs = tridiag_eigs_batch(distinct[:, :size], distinct[:, size:])
         pooled.append(np.repeat(eigs, counts, axis=0).ravel())
     pooled = np.sort(np.concatenate(pooled))
     return EmpiricalIDS(eigenvalues=pooled, site_count=len(pooled), mu=mu)

@@ -120,8 +120,8 @@ def _cmd_char_poly(args) -> int:
             rel = abs(l_det - l_fac) / max(1.0, abs(l_det), abs(l_fac))
         worst = max(worst, rel)
         rows.append(
-            (lam, lamplighter.phi_det(args.level, lam, mu),
-             lamplighter.phi_factorized(args.level, lam, mu), rel)
+            (lam, lamplighter._signlog_float(s_det, l_det),
+             lamplighter._signlog_float(s_fac, l_fac), rel)
         )
     payload = {
         "mu": args.mu,

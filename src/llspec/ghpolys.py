@@ -33,13 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import u_pair_scaled
+from .chebyshev import _BIG, _BIG_INV, _ldexp_safe, u_pair_scaled
 from .errors import DomainError
 from .jacobi import jstar_truncation, tridiag_eigs
 
 _LN2 = math.log(2.0)
-_BIG = 2.0 ** 512
-_BIG_INV = 2.0 ** -512
 
 
 @dataclass(frozen=True)
@@ -63,16 +61,22 @@ class MonicOPValue:
     value: float
 
 
-def g_value(k: int, lam: float, mu: float) -> float:
-    """G_k(lam, mu) / 2^k via the Chebyshev closed form."""
+def _g_terms(k: int, lam: float, mu: float) -> tuple[float, float, int]:
+    """(u, v, e) with U_k(s) = u 2^e and mu U_{k-1}(s) = v 2^e, s = (-lam - mu) / 4.
+
+    G_k / 2^k = (u + v) 2^e: the one scaled-recurrence evaluation behind
+    g_value, g_value_with_scale and g_signlog.
+    """
     if k < 1:
         raise DomainError("index k must be >= 1")
-    s = (-lam - mu) / 4.0
-    prev, cur, e = u_pair_scaled(k, s)
-    try:
-        return math.ldexp(cur + mu * prev, e)
-    except OverflowError:
-        return math.copysign(math.inf, cur + mu * prev)
+    prev, cur, e = u_pair_scaled(k, (-lam - mu) / 4.0)
+    return cur, mu * prev, e
+
+
+def g_value(k: int, lam: float, mu: float) -> float:
+    """G_k(lam, mu) / 2^k via the Chebyshev closed form."""
+    u, v, e = _g_terms(k, lam, mu)
+    return _ldexp_safe(u + v, e)
 
 
 def g_value_with_scale(k: int, lam: float, mu: float) -> tuple[float, float]:
@@ -82,28 +86,14 @@ def g_value_with_scale(k: int, lam: float, mu: float) -> tuple[float, float]:
     out-of-band points both Chebyshev terms grow like (|s| + sqrt(s^2-1))^k,
     so only |value| / scale is meaningful there.
     """
-    if k < 1:
-        raise DomainError("index k must be >= 1")
-    s = (-lam - mu) / 4.0
-    prev, cur, e = u_pair_scaled(k, s)
-    try:
-        value = math.ldexp(cur + mu * prev, e)
-    except OverflowError:
-        value = math.copysign(math.inf, cur + mu * prev)
-    try:
-        scale = math.ldexp(abs(cur) + abs(mu * prev), e)
-    except OverflowError:
-        scale = math.inf
-    return value, scale
+    u, v, e = _g_terms(k, lam, mu)
+    return _ldexp_safe(u + v, e), _ldexp_safe(abs(u) + abs(v), e)
 
 
 def g_signlog(k: int, lam: float, mu: float) -> tuple[float, float]:
     """(sign, ln|G_k|) of the unnormalized G_k; (0, -inf) at a zero."""
-    if k < 1:
-        raise DomainError("index k must be >= 1")
-    s = (-lam - mu) / 4.0
-    prev, cur, e = u_pair_scaled(k, s)
-    g = cur + mu * prev
+    u, v, e = _g_terms(k, lam, mu)
+    g = u + v
     if g == 0.0:
         return 0.0, -math.inf
     return math.copysign(1.0, g), (k + e) * _LN2 + math.log(abs(g))
@@ -157,12 +147,12 @@ def angular_form(k: int, t: float, mu: float) -> float:
     return math.sin((k + 1) * t) + mu * math.sin(k * t)
 
 
-def g_zeros(k: int, mu: float, tol: float = 1e-13) -> np.ndarray:
+def g_zeros(k: int, mu: float) -> np.ndarray:
     """The k (real, simple) zeros of G_k(., mu), ascending.
 
     Computed as -2 times the eigenvalues of the k x k truncation of J*(mu).
     """
     if k < 1:
         raise DomainError("index k must be >= 1")
-    eigs = tridiag_eigs(jstar_truncation(mu, k), tol=tol)
+    eigs = tridiag_eigs(jstar_truncation(mu, k))
     return np.sort(-2.0 * eigs)

@@ -6,11 +6,10 @@ polynomials encode the level polynomials G_k via G_k(lam, mu) =
 2^k P_k(-lam/2), so eigenvalues of finite truncations are the backbone of
 every zero computation in the library.
 
-Eigenvalues are located by Sturm-sequence bisection (sign counts of the
-leading-principal-minor recurrence) rather than QR/QL: the count function
-doubles as a guaranteed "how many eigenvalues below x" oracle, which the
-spectral-measure and outlier logic need anyway, and the bisection kernel
-vectorizes over batches of same-size matrices for the disorder simulator.
+Eigenvalues come from LAPACK (np.linalg.eigvalsh on the dense tridiagonal,
+stacked for batches).  The leading-principal-minor pivot recurrence is kept
+as the one Sturm count: a guaranteed "how many eigenvalues below x" oracle
+for every truncation at once, which the tests check the eigenvalues against.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 from .errors import DomainError
 
 _TINY = 2.2250738585072014e-308  # smallest normal double
-_MAX_BISECT = 300
 
 
 @dataclass(frozen=True)
@@ -89,54 +87,27 @@ def jstar_band(mu: float) -> tuple[float, float]:
     return (mu / 2.0 - 2.0, mu / 2.0 + 2.0)
 
 
-def _sturm_counts(diag2d, off2d, shifts2d):
-    """Number of eigenvalues at or below each shift, batched.
+def tridiag_eigs_batch(diag2d, off2d) -> np.ndarray:
+    """All eigenvalues of a batch of same-size tridiagonals, rows ascending.
 
-    diag2d: (B, s), off2d: (B, s-1), shifts2d: (B, m) -> counts (B, m).
-    A zero pivot is counted as negative (the usual "<=" tie convention) and
-    then nudged to -tiny; the subsequent +-inf propagation is the standard
-    bisection-safe behaviour.
+    Each row is solved on its own, so its result does not depend on which
+    other rows share the batch.
     """
-    d = diag2d[:, :1] - shifts2d
-    d = np.where(d == 0.0, -_TINY, d)
-    counts = (d < 0).astype(np.int64)
-    for i in range(1, diag2d.shape[1]):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = (diag2d[:, i : i + 1] - shifts2d) - (off2d[:, i - 1 : i] ** 2) / d
-        d = np.where(d == 0.0, -_TINY, d)
-        counts += d < 0
-    return counts
-
-
-def tridiag_eigs_batch(diag2d, off2d, tol: float = 1e-13) -> np.ndarray:
-    """All eigenvalues of a batch of same-size tridiagonals, rows ascending."""
     diag2d = np.atleast_2d(np.asarray(diag2d, dtype=float))
     off2d = np.atleast_2d(np.asarray(off2d, dtype=float))
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not (np.isfinite(diag2d).all() and np.isfinite(off2d).all()):
+        raise DomainError("tridiagonal entries must be finite")
     b, s = diag2d.shape
-    if s == 1:
-        return diag2d.copy()
-    radius = np.zeros_like(diag2d)
-    ao = np.abs(off2d)
-    radius[:, :-1] += ao
-    radius[:, 1:] += ao
-    lo = np.repeat((diag2d - radius).min(axis=1, keepdims=True), s, axis=1)
-    hi = np.repeat((diag2d + radius).max(axis=1, keepdims=True), s, axis=1)
-    targets = np.arange(1, s + 1)[None, :]
-    for _ in range(_MAX_BISECT):
-        if (hi - lo).max() <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        above = _sturm_counts(diag2d, off2d, mid) >= targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+    dense = np.zeros((b, s, s))
+    idx = np.arange(s)
+    dense[:, idx, idx] = diag2d
+    dense[:, idx[1:], idx[:-1]] = off2d  # eigvalsh reads the lower triangle
+    return np.linalg.eigvalsh(dense)
 
 
-def tridiag_eigs(t: TridiagonalMatrix, tol: float = 1e-13) -> np.ndarray:
-    """All eigenvalues of one tridiagonal matrix, ascending, to accuracy tol."""
-    return tridiag_eigs_batch(t.diag[None, :], t.offdiag[None, :], tol)[0]
+def tridiag_eigs(t: TridiagonalMatrix) -> np.ndarray:
+    """All eigenvalues of one tridiagonal matrix, ascending."""
+    return tridiag_eigs_batch(t.diag[None, :], t.offdiag[None, :])[0]
 
 
 def eig_count_below(t: TridiagonalMatrix, x: float) -> int:
@@ -145,11 +116,7 @@ def eig_count_below(t: TridiagonalMatrix, x: float) -> int:
     Monotone staircase in x; when x hits an eigenvalue of a leading principal
     submatrix exactly, the zero pivot is counted on the "below" side.
     """
-    return int(
-        _sturm_counts(
-            t.diag[None, :], t.offdiag[None, :], np.array([[float(x)]])
-        )[0, 0]
-    )
+    return int(leading_counts_below(t, x)[-1])
 
 
 def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
@@ -166,16 +133,16 @@ def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
         d = -_TINY
     acc = 1 if d < 0 else 0
     counts[0] = acc
-    for i in range(1, t.n):
-        try:
+    # a pivot of -tiny overflows the next one to +-inf, which still counts
+    # correctly and resets the recurrence a step later
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(1, t.n):
             d = (t.diag[i] - x) - (t.offdiag[i - 1] ** 2) / d
-        except (OverflowError, ZeroDivisionError):  # pragma: no cover
-            d = -math.inf if d > 0 else math.inf
-        if d == 0.0:
-            d = -_TINY
-        if d < 0:
-            acc += 1
-        counts[i] = acc
+            if d == 0.0:
+                d = -_TINY
+            if d < 0:
+                acc += 1
+            counts[i] = acc
     return counts
 
 

@@ -108,14 +108,18 @@ def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     return float(sign), float(logabs)
 
 
-def phi_det(n: int, lam: float, mu: float) -> float:
-    sign, logabs = phi_det_signlog(n, lam, mu)
+def _signlog_float(sign: float, logabs: float) -> float:
+    """sign * exp(logabs), saturating to +-inf; 0.0 when sign is 0."""
     if sign == 0.0:
         return 0.0
     try:
         return sign * math.exp(logabs)
     except OverflowError:
         return math.copysign(math.inf, sign)
+
+
+def phi_det(n: int, lam: float, mu: float) -> float:
+    return _signlog_float(*phi_det_signlog(n, lam, mu))
 
 
 def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
@@ -144,13 +148,7 @@ def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]
 
 
 def phi_factorized(n: int, lam: float, mu: float) -> float:
-    sign, logabs = phi_factorized_signlog(n, lam, mu)
-    if sign == 0.0:
-        return 0.0
-    try:
-        return sign * math.exp(logabs)
-    except OverflowError:
-        return math.copysign(math.inf, sign)
+    return _signlog_float(*phi_factorized_signlog(n, lam, mu))
 
 
 def dense_eigs(

@@ -174,7 +174,7 @@ def test_deduplicated_ids_match_per_block_solves(windows, mu):
     samples = [_sample_from_bits(bits, mu) for bits in windows]
     blocks = [b for s in samples for b in block_decompose(s)[1:-1]]
     assume(blocks)
-    expected = np.sort(np.concatenate([tridiag_eigs(b, tol=1e-11) for b in blocks]))
+    expected = np.sort(np.concatenate([tridiag_eigs(b) for b in blocks]))
     ids = empirical_ids(samples)
     assert ids.site_count == len(expected) == sum(b.n for b in blocks)
     assert np.array_equal(ids.eigenvalues, expected)

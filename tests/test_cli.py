@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
-from llspec import lamplighter
+from llspec import anderson, lamplighter
 from llspec.cli import EXIT_CHECK, EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_OK, main, run
 from llspec.errors import ConvergenceError
 
@@ -131,14 +134,38 @@ def test_dos_check_breach_exit(capsys):
     assert code == EXIT_CHECK
 
 
+def test_dos_csv_eigenvalues_match_mp_block_spectra(capsys):
+    # the run pinned below: its pooled eigenvalues, against the 30-digit
+    # spectra of the distinct interior blocks, each counted once per copy
+    code, out, _ = _run(
+        capsys, "dos", "--mu", "float:0.3", "--sites", "100000", "--seed", "7"
+    )
+    assert code == EXIT_OK
+    got = np.array([float(line.split(",")[0]) for line in out.splitlines()[1:]])
+    sample = anderson.build_jacobi_sample(anderson.sample_window(7, 0, 100000), 0.3)
+    blocks, copies = {}, Counter()
+    for block in anderson.block_decompose(sample)[1:-1]:
+        key = (block.diag.tobytes(), block.offdiag.tobytes())
+        blocks[key] = block
+        copies[key] += 1
+    exact = []
+    with mpmath.workdps(30):
+        for key, block in blocks.items():
+            eigs = mpmath.eigsy(mpmath.matrix(block.dense().tolist()), eigvals_only=True)
+            exact.append(np.repeat([float(v) for v in eigs], copies[key]))
+    exact = np.sort(np.concatenate(exact))
+    assert len(got) == len(exact)
+    assert np.abs(got - exact).max() <= 1e-13
+
+
 def test_dos_csv_bytes_are_pinned(capsys):
-    # digest of the output written before blocks were deduplicated by content
+    # digest of the LAPACK-kernel output, whose values the test above checks
     code, out, _ = _run(
         capsys, "dos", "--mu", "float:0.3", "--sites", "100000", "--seed", "7"
     )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c4c5553026cb4a82375c7f0089927c5a9e11c9721dc0565c693e917e7ea9874a"
+        "aac9d007120cfe12ee8b51a43f798957e9719b10d69a5fba5e7a1adda289d79c"
     )
 
 

@@ -1,9 +1,11 @@
-"""J*(mu) truncations, Sturm bisection, measure density, m-function."""
+"""J*(mu) truncations, tridiagonal eigenvalues and Sturm counts, measure density, m-function."""
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from llspec.jacobi import (
     m_function,
     pencil_spectrum,
     tridiag_eigs,
+    tridiag_eigs_batch,
 )
 
 
@@ -65,17 +68,51 @@ def test_trace_identity(diag, seed):
     rng = np.random.default_rng(seed)
     off = rng.uniform(-3.0, 3.0, size=len(diag) - 1)
     t = TridiagonalMatrix(diag=np.array(diag), offdiag=off)
-    eigs = tridiag_eigs(t, tol=1e-12)
+    eigs = tridiag_eigs(t)
     assert abs(eigs.sum() - t.diag.sum()) <= len(diag) * 1e-11
 
 
 def test_tridiag_eigs_against_dense_oracle():
+    # references that share no code with the LAPACK kernel: the pivot
+    # recurrence's Sturm count, and mpmath's dense eigensolver
     rng = np.random.default_rng(3)
     for n in (2, 5, 17, 40):
         t = TridiagonalMatrix(diag=rng.uniform(-4, 4, n), offdiag=rng.uniform(-2, 2, n - 1))
         got = tridiag_eigs(t)
-        ref = np.sort(np.linalg.eigvalsh(t.dense()))
-        assert np.allclose(got, ref, atol=1e-10)
+        d = 1e-12 * (1.0 + max(np.abs(t.diag).max(), np.abs(t.offdiag).max()))
+        for j, v in enumerate(got):
+            assert eig_count_below(t, v - d) <= j < eig_count_below(t, v + d)
+    for mu in (0.3, 2.0, -1.5):
+        for n in (2, 5, 17, 40):
+            t = jstar_truncation(mu, n)
+            with mpmath.workdps(30):
+                ref = mpmath.eigsy(mpmath.matrix(t.dense().tolist()), eigvals_only=True)
+                ref = sorted(float(v) for v in ref)
+            assert np.allclose(tridiag_eigs(t), ref, atol=1e-10)
+
+
+_ENTRY = st.floats(-1e3, 1e3, allow_nan=False) | st.floats(-1e-3, 1e-3, allow_nan=False)
+
+
+@given(size=st.integers(1, 6), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_batch_rows_are_solved_independently(size, data):
+    row = st.lists(_ENTRY, min_size=2 * size - 1, max_size=2 * size - 1)
+    rows = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=float)
+    diag, off = rows[:, :size], rows[:, size:]
+    batch = tridiag_eigs_batch(diag, off)
+    for i in range(len(rows)):
+        alone = tridiag_eigs(TridiagonalMatrix(diag=diag[i], offdiag=off[i]))
+        assert batch[i].tobytes() == alone.tobytes()
+
+
+def test_non_finite_entries_rejected():
+    with pytest.raises(DomainError):
+        g_zeros(3, float("nan"))
+    with pytest.raises(DomainError):
+        g_zeros(3, float("inf"))
+    with pytest.raises(DomainError):
+        tridiag_eigs(TridiagonalMatrix(diag=[0.0, 1.0, 2.0], offdiag=[1.0, math.inf]))
 
 
 def test_eig_counts():
@@ -87,6 +124,14 @@ def test_eig_counts():
     counts = leading_counts_below(t, 0.5)
     # leading 1x1 has eigenvalue 0, leading 2x2 has -1 and 1
     assert counts.tolist() == [1, 1, 2]
+
+
+def test_sturm_count_is_silent_after_a_zero_pivot():
+    t = TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[2.0])  # eigenvalues -2, 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eig_count_below(t, 0.0) == 1
+        assert leading_counts_below(t, 0.0).tolist() == [1, 1]
 
 
 def test_isolated_point():
