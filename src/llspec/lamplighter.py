@@ -22,6 +22,7 @@ for eigenvalue multiplicities.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -99,11 +100,18 @@ def pencil_matrix(rep: LevelRep, mu: float) -> PencilMatrix:
     return PencilMatrix(level=rep.level, mu=float(mu), entries=m)
 
 
+@functools.lru_cache(maxsize=1)
+def _pencil_entries(n: int, mu: float) -> np.ndarray:
+    """M_n(mu) as a read-only array, kept for the next call with the same (n, mu)."""
+    m = pencil_matrix(build_level(n), mu).entries
+    m.flags.writeable = False
+    return m
+
+
 def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     """(sign, ln|Phi_n|) from an LU determinant of M_n(mu) - lam I."""
     _check_level(n)
-    rep = build_level(n)
-    m = pencil_matrix(rep, mu).entries - lam * np.eye(1 << n)
+    m = _pencil_entries(n, mu) - lam * np.eye(1 << n)
     sign, logabs = np.linalg.slogdet(m)
     return float(sign), float(logabs)
 
@@ -159,11 +167,12 @@ def dense_eigs(
     Sweeps run until the off-diagonal Frobenius norm drops below
     tol_factor * ||M||_F.  Rotations are plain plane rotations on a private
     copy; no deflation heuristics are needed even though eigenvalue clusters
-    carry multiplicities of order 2^(n-2).
+    carry multiplicities of order 2^(n-2).  Exactly symmetric input stays so,
+    which lets a rotation update rows p and q once and copy them into columns.
     """
     a = np.array(m.entries, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=0.0):
+    if a.shape != (n, n) or not np.array_equal(a, a.T):
         raise DomainError("dense eigensolver expects a symmetric matrix")
     if n == 1:
         return a[0].copy()
@@ -179,24 +188,30 @@ def dense_eigs(
     for _ in range(sweep_limit):
         if offnorm() <= thresh:
             return np.sort(np.diag(a))
+        rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if abs(apq) <= skip:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                rotated = True
+                app, aqq = a.item(p, p), a.item(q, q)
+                tau = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 cos = 1.0 / math.hypot(1.0, t)
                 sin = t * cos
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cos * col_p - sin * col_q
-                a[:, q] = sin * col_p + cos * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = cos * row_p - sin * row_q
-                a[q, :] = sin * row_p + cos * row_q
-                a[p, q] = a[q, p] = 0.0
+                row_p, row_q = a[p], a[q]
+                new_p = cos * row_p - sin * row_q
+                new_q = sin * row_p + cos * row_q
+                # the 2x2 block as a column update followed by a row update
+                cpp, cqp = cos * app - sin * apq, cos * apq - sin * aqq
+                cpq, cqq = sin * app + cos * apq, sin * apq + cos * aqq
+                new_p[p], new_p[q] = cos * cpp - sin * cqp, 0.0
+                new_q[p], new_q[q] = 0.0, sin * cpq + cos * cqq
+                a[p], a[q] = new_p, new_q
+                a[:, p], a[:, q] = new_p, new_q
+        if not rotated:
+            break  # an idle sweep changed nothing, so no later sweep would
     residual = offnorm()
     if residual <= thresh:
         return np.sort(np.diag(a))

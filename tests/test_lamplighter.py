@@ -1,14 +1,17 @@
 """Level matrices, determinants in both routes, dense eigen oracle."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from llspec.errors import CapacityError, DomainError
+from llspec import lamplighter
+from llspec.errors import CapacityError, ConvergenceError, DomainError
 from llspec.ghpolys import g_zeros
 from llspec.lamplighter import (
+    PencilMatrix,
     build_level,
     dense_eigs,
     level_cap,
@@ -140,6 +143,60 @@ def test_dense_eigs_rejects_asymmetric():
         dense_eigs(type(bad)(level=1, mu=0.0, entries=np.array([[1.0, 2.0], [0.0, 1.0]])))
 
 
+@pytest.mark.parametrize("lower", [1.000001, 1.0 + 1e-9])
+def test_dense_eigs_symmetry_guard_is_exact(lower):
+    # the row-form rotation equals the column-then-row one only on exactly
+    # symmetric input, so a relative slack of any size is refused
+    bad = PencilMatrix(level=1, mu=0.0, entries=np.array([[1.0, 1.0], [lower, 1.0]]))
+    with pytest.raises(DomainError):
+        dense_eigs(bad)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pencil_is_exactly_symmetric(n):
+    for mu in (0.3, 2.0, 7 / 6, -1.5, 0.0):
+        m = pencil_matrix(build_level(n), mu).entries
+        assert np.array_equal(m, m.T)
+
+
+# SHA-256 over the little-endian float64 eigenvalues for the five mu values
+# below, in order, skipping the ones that fail to converge; taken from the
+# column-then-row rotation code (x86_64, numpy 2.4.6).  Which levels converge
+# is rounding luck of the off-diagonal norm, so the failures are pinned too.
+_PINNED_MUS = (0.3, 2.0, 7 / 6, -1.5, 0.0)
+_DENSE_EIGS_DIGESTS = {
+    0: "fcb91cdfbcaf3697765a2202013012daa7cbcb3d97b99d03d504a0d9dbf331ff",
+    1: "cef83d15c3ae7a8cd4a428b914e62aebaa0f9216abbce82a974ab32c1fb0987c",
+    2: "db571924eb564fe878430ac8e01cefa9df4a001adf1631491554622965e96120",
+    3: "404f3564fcde785d6905aba007fec7151e6a72e6a4de55427af449944584d9e4",
+    4: "494aca360839005749f26d4f5d9af1e9a5ec998d59512126e07efe8e78a0097a",
+    5: "2ee7b82dd0dea2c9b92029bfe320bf84573f872bf77dc2183886d16affeb7acd",
+    6: "c584c3e3f7a08de26b98631d93470ea505d6c95b1762836a863d380347483ece",
+    7: "30f769dd77b119897cf5e71707bed271f25db6d87bb0cfe73b516cfdd86cfd1b",
+}
+_DENSE_EIGS_FAILURES = {
+    (5, 7 / 6): "1.686e-07",
+    (6, 7 / 6): "2.384e-07",
+    (7, 0.3): "3.372e-07",
+    (7, 7 / 6): "3.372e-07",
+}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_dense_eigs_bits_are_pinned(n):
+    digest = hashlib.sha256()
+    for mu in _PINNED_MUS:
+        try:
+            eigs = dense_eigs(pencil_matrix(build_level(n), mu))
+        except ConvergenceError as exc:
+            residual = _DENSE_EIGS_FAILURES[(n, mu)]
+            assert str(exc) == f"rotation sweeps exhausted with off-diagonal residual {residual}"
+        else:
+            assert (n, mu) not in _DENSE_EIGS_FAILURES
+            digest.update(eigs.astype("<f8").tobytes())
+    assert digest.hexdigest() == _DENSE_EIGS_DIGESTS[n]
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 2.0])
 def test_eigenvalue_multiset_matches_factorization(mu):
     # predicted: {4 - mu} once, zeros of G_k with multiplicity 2^(n-1-k)
@@ -182,3 +239,34 @@ def test_factorized_large_level_does_not_overflow(monkeypatch):
     sign, logabs = phi_factorized_signlog(20, 0.35, 0.72)
     assert sign in (-1.0, 1.0)
     assert math.isfinite(logabs) and logabs > 700.0
+
+
+def test_phi_det_matches_a_freshly_built_pencil():
+    # alternating (n, mu) pairs make the one-entry pencil cache miss and hit
+    triples = [(3, 0.3, 1.0), (5, -1.5, 0.2), (3, 0.3, -2.5), (3, 0.3, 1.0),
+               (5, -1.5, 4.0), (6, 7 / 6, 0.5), (6, 7 / 6, 0.5), (3, 2.0, 0.0)]
+    for n, mu, lam in triples:
+        fresh = pencil_matrix(build_level(n), mu).entries - lam * np.eye(1 << n)
+        sign, logabs = np.linalg.slogdet(fresh)
+        assert phi_det_signlog(n, lam, mu) == (float(sign), float(logabs))
+
+
+def test_pencil_is_assembled_once_per_level_and_parameter(monkeypatch):
+    lamplighter._pencil_entries.cache_clear()
+    calls = []
+    real = lamplighter.build_level
+    monkeypatch.setattr(lamplighter, "build_level", lambda n: calls.append(n) or real(n))
+    for lam in np.linspace(-6.0, 6.0, 25):
+        phi_det_signlog(4, lam, 7 / 6)
+    assert calls == [4]
+    cached = lamplighter._pencil_entries(4, 7 / 6)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+
+
+def test_capacity_is_checked_before_the_pencil_cache(monkeypatch):
+    phi_det_signlog(4, 0.5, 0.3)
+    monkeypatch.setenv("LLSPEC_NMAX", "3")
+    with pytest.raises(CapacityError):
+        phi_det_signlog(4, 0.5, 0.3)
