@@ -335,6 +335,12 @@ def _cmd_ns(args) -> int:
         "closed_form": inv.closed_form,
         "empirical": inv.empirical,
         "rows": [dict(zip(("m", "x_m", "gap", "log2_gap"), r)) for r in rows],
+        "meta": {
+            "effort": [
+                {"m": e.m, "mp_digits": e.digits, "recurrence_passes": e.passes}
+                for e in seq.entries
+            ],
+        },
     }
     _emit(args, ("m", "x_m", "gap", "log2_gap"), zip(*rows), payload)
     if args.check:

@@ -93,10 +93,13 @@ def build_level(n: int) -> LevelRep:
 
 
 def pencil_matrix(rep: LevelRep, mu: float) -> PencilMatrix:
-    a = rep.a.astype(float)
-    b = rep.b.astype(float)
-    c = rep.c.astype(float)
-    m = a + a.T + b + b.T - mu * c
+    # summed in place, in the order of a + a.T + b + b.T - mu * c, so at level
+    # 12 two float copies (134 MB each) are live at once instead of five
+    m = rep.a.astype(float)
+    m += rep.a.T
+    m += rep.b
+    m += rep.b.T
+    m -= mu * rep.c
     return PencilMatrix(level=rep.level, mu=float(mu), entries=m)
 
 
@@ -111,7 +114,11 @@ def _pencil_entries(n: int, mu: float) -> np.ndarray:
 def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     """(sign, ln|Phi_n|) from an LU determinant of M_n(mu) - lam I."""
     _check_level(n)
-    m = _pencil_entries(n, mu) - lam * np.eye(1 << n)
+    if not math.isfinite(lam):
+        raise DomainError(f"lam must be finite, got {lam}")
+    # the pencil holds no -0.0, so for finite lam this is M - lam I bit for bit
+    m = _pencil_entries(n, mu).copy()
+    m.flat[:: m.shape[0] + 1] -= lam
     sign, logabs = np.linalg.slogdet(m)
     return float(sign), float(logabs)
 
@@ -171,12 +178,16 @@ def dense_eigs(
     which lets a rotation update rows p and q once and copy them into columns.
     """
     a = np.array(m.entries, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.array_equal(a, a.T):
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
         raise DomainError("dense eigensolver expects a symmetric matrix")
+    n = a.shape[0]
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+    # an infinite norm would make the stopping threshold pass before any rotation
+    if not math.isfinite(fro):
+        raise DomainError("dense eigensolver expects finite entries with a finite norm")
     if n == 1:
         return a[0].copy()
-    fro = float(np.linalg.norm(a))
     if fro == 0.0:
         return np.zeros(n)
     thresh = tol_factor * fro

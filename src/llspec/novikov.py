@@ -9,9 +9,12 @@ is log 2 / (2 log mu).
 
 The gaps fall below double resolution around m >= 35 already at mu = 2, and
 far below any fixed compound-double format at the depths needed here (a
-mu^(-2m) of 9^-60 ~ 1e-57 at mu = 3), so x_m is extracted from Sturm
-bisection brackets in arbitrary-precision arithmetic with the working
-precision scaled to the expected decay; the target mu + 2/mu is exact there.
+mu^(-2m) of 9^-60 ~ 1e-57 at mu = 3), so x_m is computed in
+arbitrary-precision arithmetic with the working precision scaled to the
+expected decay; the target mu + 2/mu is exact there.  Newton's method on the
+truncation's determinant finds x_m in a few steps, and Sturm counts certify
+each result: an eigenvalue lies within a bracket of width mu^(-2m) * 1e-6
+around it, far below the gap.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import ConvergenceError, DomainError, InsufficientDataError
 from .jacobi import critical_index
 
 _LN2 = math.log(2.0)
@@ -35,6 +38,10 @@ class GapEntry:
     x_m: float
     gap: float  # may underflow to 0.0 in double; log2_gap stays finite
     log2_gap: float
+    # solver effort: mp working precision (decimal digits) and pivot
+    # recurrence passes, certificate included; 0 where nothing was solved
+    digits: int = 0
+    passes: int = 0
 
 
 @dataclass(frozen=True)
@@ -63,45 +70,85 @@ def _is_boundary(mu, m: int) -> bool:
     return float(mu) * m == float(m + 1)
 
 
+def _zero_pivot() -> mp.mpf:
+    """Stand-in for an exactly zero pivot: a tiny negative number."""
+    return -mp.mpf(2) ** (-10 * mp.mp.prec)
+
+
 def _count_below_mp(mmu: mp.mpf, m: int, x: mp.mpf) -> int:
-    """Sturm count for the m x m truncation of J*(mu) in mp arithmetic."""
+    """Sturm count for the m x m truncation of J*(mu) in mp arithmetic.
+
+    This is the oracle that certifies every x_m; `_newton_pass_mp` repeats
+    the recurrence for speed but never has the last word.
+    """
     d = -mmu / 2 - x
     if d == 0:
-        d = -mp.mpf(2) ** (-10 * mp.mp.prec)
+        d = _zero_pivot()
     count = 1 if d < 0 else 0
     a = mmu / 2
     for _ in range(m - 1):
         d = (a - x) - 1 / d
         if d == 0:
-            d = -mp.mpf(2) ** (-10 * mp.mp.prec)
+            d = _zero_pivot()
         if d < 0:
             count += 1
     return count
 
 
-def _outlier_zero_mp(mu, m: int):
-    """(x_m, gap, log2 gap) for the largest zero of G_m, mu > 1.
+def _newton_pass_mp(mmu: mp.mpf, m: int, x: mp.mpf):
+    """(Sturm count, Newton step) at x from one pass over the pivots.
 
-    The single truncation eigenvalue below the band is bracketed between the
-    limit point -mu/2 - 1/mu and a hair above the band bottom, then bisected
-    to a width far below the expected mu^(-2m) gap.
+    The pivots d_i of the truncation minus x multiply to its determinant, so
+    with d_i' = d/dx d_i the Newton step for the determinant is
+    1 / sum(d_i'/d_i); the step is None where that sum vanishes.
+    """
+    a = mmu / 2
+    d, dd = -a - x, mp.mpf(-1)
+    count, total = 0, mp.mpf(0)
+    for i in range(m):
+        if i:
+            d, dd = (a - x) - 1 / d, dd / (d * d) - 1
+        if d == 0:
+            d = _zero_pivot()
+        if d < 0:
+            count += 1
+        total += dd / d
+    return count, (1 / total if total else None)
+
+
+def _outlier_zero_mp(mu, m: int) -> GapEntry:
+    """The largest zero x_m of G_m and its gap to mu + 2/mu, for mu > 1.
+
+    x_m = -2 e, where e is the single truncation eigenvalue below the band.
+    e is bracketed between the limit point -mu/2 - 1/mu and a hair above the
+    band bottom, then found by Newton's method on the determinant inside that
+    bracket; a step that would leave the bracket bisects it instead.  Once
+    the step is below a quarter of width = mu^(-2m) * 1e-6, far below the
+    expected gap, the iterate x is returned only if the Sturm counts put an
+    eigenvalue in [x - width/2, x + width/2]: the answer rests on that
+    certificate, not on the iteration.
     """
     muf = float(mu)
     digits = max(30, int(2 * m * math.log10(muf)) + 25)
     with mp.workdps(digits):
         mmu = _to_mpf(mu)
         target = mmu + 2 / mmu
-        if _is_boundary(mu, m):
-            x_m = 4 - mmu
+
+        def outlier(x_m, passes):
             gap = abs(x_m - target)
-            return float(x_m), float(gap), float(mp.log(gap, 2))
+            return GapEntry(m=m, x_m=float(x_m), gap=float(gap),
+                            log2_gap=float(mp.log(gap, 2)), digits=digits, passes=passes)
+
+        if _is_boundary(mu, m):
+            return outlier(4 - mmu, 0)
         band_lo = mmu / 2 - 2
         lo = -mmu / 2 - 1 / mmu
         margin = mp.mpf(0.5) / (m + 1) ** 2
         hi = band_lo + margin
+        passes = 0
         for _ in range(8):
-            count = _count_below_mp(mmu, m, hi)
-            if count == 1:
+            passes += 1
+            if _count_below_mp(mmu, m, hi) == 1:
                 break
             margin /= 16
             hi = band_lo + margin
@@ -110,16 +157,33 @@ def _outlier_zero_mp(mu, m: int):
                 f"could not isolate the out-of-band eigenvalue at m={m}, mu={muf}"
             )
         width = mp.mpf(muf) ** (-2 * m) * mp.mpf(10) ** -6
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if _count_below_mp(mmu, m, mid) >= 1:
-                hi = mid
+        x = lo
+        # bisection alone narrows the bracket to width within this many steps,
+        # as long as the precision resolves width next to mu (mu below ~1e19)
+        limit = mp.mp.prec
+        for _ in range(limit):
+            count, step = _newton_pass_mp(mmu, m, x)
+            passes += 1
+            if count == 0:
+                lo = x
             else:
-                lo = mid
-        eig = (lo + hi) / 2
-        x_m = -2 * eig
-        gap = abs(x_m - target)
-        return float(x_m), float(gap), float(mp.log(gap, 2))
+                hi = x
+            if step is not None and abs(step) <= width / 4:
+                x -= step
+                passes += 2
+                if (_count_below_mp(mmu, m, x - width / 2) == 0
+                        and _count_below_mp(mmu, m, x + width / 2) >= 1):
+                    return outlier(-2 * x, passes)
+                x = (lo + hi) / 2
+            elif step is None or not lo < x - step < hi:
+                x = (lo + hi) / 2
+            else:
+                x -= step
+        raise ConvergenceError(
+            f"no certified outlier eigenvalue at m={m}, mu={muf} after {limit} "
+            f"Newton steps; bracket width {float(hi - lo):.3e}",
+            residual=float(hi - lo),
+        )
 
 
 def gap_sequence(mu, M: int) -> GapSequence:
@@ -130,11 +194,8 @@ def gap_sequence(mu, M: int) -> GapSequence:
     start = critical_index(mu if isinstance(mu, Fraction) else muf)
     if M < start + 5:
         raise DomainError(f"need M >= {start + 5} for a usable sequence")
-    entries = []
-    for m in range(start, M + 1):
-        x_m, gap, log2_gap = _outlier_zero_mp(mu, m)
-        entries.append(GapEntry(m=m, x_m=x_m, gap=gap, log2_gap=log2_gap))
-    return GapSequence(mu=muf, target=muf + 2.0 / muf, entries=tuple(entries))
+    entries = tuple(_outlier_zero_mp(mu, m) for m in range(start, M + 1))
+    return GapSequence(mu=muf, target=muf + 2.0 / muf, entries=entries)
 
 
 def _tail_window(entries):

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from llspec import anderson, lamplighter
+from llspec import anderson, lamplighter, novikov
 from llspec.cli import EXIT_CHECK, EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_OK, main, run
 from llspec.errors import ConvergenceError
 
@@ -177,6 +177,40 @@ def test_ns_summary(capsys):
     payload = json.loads(out)
     assert payload["closed_form"] == 0.5
     assert abs(payload["decay_rate"] - 0.25) < 0.005
+
+
+def test_ns_json_meta_is_deterministic(tmp_path, capsys):
+    argv = ["ns", "--mu", "rat:5/2", "--depth", "20", "--format", "json"]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert main(argv + ["--out", str(path)]) == EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    payload = json.loads(paths[0].read_text())
+    effort = payload["meta"]["effort"]
+    assert [e["m"] for e in effort] == [r["m"] for r in payload["rows"]]
+    assert all(e["mp_digits"] >= 30 and e["recurrence_passes"] > 0 for e in effort)
+    # CSV keeps its four columns and carries no meta
+    code, out, _ = _run(capsys, "ns", "--mu", "rat:5/2", "--depth", "20")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "m,x_m,gap,log2_gap" and len(lines) == len(effort) + 1
+
+
+def test_ns_convergence_failure_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(novikov, "_newton_pass_mp", lambda mmu, m, x: (0, mpmath.mpf(1)))
+    argv = ["ns", "--mu", "float:2", "--depth", "12"]
+    assert run(argv) == EXIT_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_eigs_with_overflowing_norm_exits_two(capsys, recwarn):
+    # entries near 1e200 are finite but their squares are not
+    code, out, err = _run(capsys, "eigs", "--level", "2", "--mu", "float:1e200")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: dense eigensolver expects finite entries with a finite norm"]
+    assert len(recwarn) == 0
 
 
 def test_domain_errors_exit_two(capsys):

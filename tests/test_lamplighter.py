@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,11 +153,42 @@ def test_dense_eigs_symmetry_guard_is_exact(lower):
         dense_eigs(bad)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [np.array([[1.0, np.inf], [np.inf, 1.0]]), np.array([[np.inf]]),
+     pencil_matrix(build_level(2), 1e200).entries],
+    ids=["inf-off-diagonal", "inf-1x1", "overflowing-norm"],
+)
+def test_dense_eigs_rejects_non_finite_norm(entries):
+    # an infinite norm made the stopping test pass at once, returning the diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            dense_eigs(PencilMatrix(level=0, mu=0.0, entries=entries))
+
+
+@pytest.mark.parametrize("entries", [np.array(1.0), np.ones(3), np.ones((2, 3))],
+                         ids=["0-d", "1-d", "2x3"])
+def test_dense_eigs_rejects_non_square_shapes(entries):
+    with pytest.raises(DomainError):
+        dense_eigs(PencilMatrix(level=0, mu=0.0, entries=entries))
+
+
 @pytest.mark.parametrize("n", range(10))
 def test_pencil_is_exactly_symmetric(n):
     for mu in (0.3, 2.0, 7 / 6, -1.5, 0.0):
         m = pencil_matrix(build_level(n), mu).entries
         assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pencil_matches_the_generator_sum(n):
+    # the in-place assembly must give the bits of the plain float expression
+    rep = build_level(n)
+    a, b, c = (g.astype(float) for g in (rep.a, rep.b, rep.c))
+    for mu in (0.3, 2.0, 7 / 6, -1.5, 0.0, -0.0):
+        reference = a + a.T + b + b.T - mu * c
+        assert pencil_matrix(rep, mu).entries.tobytes() == reference.tobytes()
 
 
 # SHA-256 over the little-endian float64 eigenvalues for the five mu values
@@ -249,6 +281,21 @@ def test_phi_det_matches_a_freshly_built_pencil():
         fresh = pencil_matrix(build_level(n), mu).entries - lam * np.eye(1 << n)
         sign, logabs = np.linalg.slogdet(fresh)
         assert phi_det_signlog(n, lam, mu) == (float(sign), float(logabs))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_diagonal_shift_matches_subtracting_lam_times_identity(n):
+    for mu in (0.3, -1.5):
+        pencil = pencil_matrix(build_level(n), mu).entries
+        for lam in (-2.5, -0.0, 0.0, 1.0, 7 / 6):
+            sign, logabs = np.linalg.slogdet(pencil - lam * np.eye(1 << n))
+            assert phi_det_signlog(n, lam, mu) == (float(sign), float(logabs))
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_phi_det_rejects_non_finite_lam(lam):
+    with pytest.raises(DomainError):
+        phi_det_signlog(3, lam, 0.3)
 
 
 def test_pencil_is_assembled_once_per_level_and_parameter(monkeypatch):

@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from llspec.errors import DomainError, InsufficientDataError
+from llspec import novikov
+from llspec.errors import ConvergenceError, DomainError, InsufficientDataError
 from llspec.novikov import GapEntry, GapSequence, decay_rate, gap_sequence, ns_invariant
 
 
@@ -90,3 +92,81 @@ def test_ns_invariant_reuses_a_built_sequence():
 def test_empirical_exponent_close_to_closed_form():
     inv = ns_invariant(2.5, 40)
     assert abs(inv.empirical / inv.closed_form - 1.0) < 0.05
+
+
+# (mu, depth) pairs for the accuracy checks: integer, half-integer and
+# rational parameters, one of them near 1 where the gaps shrink slowly
+_NEWTON_CASES = [(2.0, 60), (Fraction(5, 2), 40), (3.0, 40), (1.5, 40), (Fraction(7, 6), 40)]
+
+
+def _reference_gap(mu, m, extra_digits=30):
+    """|x_m - (mu + 2/mu)| by plain Sturm bisection, 30 digits tighter.
+
+    The bracket runs from the limit point to the band bottom; bisection stops
+    at mu^(-2m) * 1e-36, 30 digits below the width the solver certifies.
+    """
+    digits = max(30, int(2 * m * math.log10(float(mu))) + 25) + extra_digits
+    with mp.workdps(digits):
+        mmu = novikov._to_mpf(mu)
+        lo, hi = -mmu / 2 - 1 / mmu, mmu / 2 - 2
+        assert novikov._count_below_mp(mmu, m, lo) == 0 and novikov._count_below_mp(mmu, m, hi) >= 1
+        width = mp.mpf(float(mu)) ** (-2 * m) * mp.mpf(10) ** (-6 - extra_digits)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            if novikov._count_below_mp(mmu, m, mid) >= 1:
+                hi = mid
+            else:
+                lo = mid
+        return abs(-(lo + hi) - (mmu + 2 / mmu))
+
+
+@pytest.mark.parametrize("mu,depth", _NEWTON_CASES)
+def test_gaps_match_a_tight_bisection(mu, depth):
+    for e in gap_sequence(mu, depth).entries:
+        if novikov._is_boundary(mu, e.m):
+            continue
+        ref = _reference_gap(mu, e.m)
+        assert abs(e.gap / ref - 1) <= 1e-9, (e.m, e.gap, ref)
+        assert e.log2_gap == pytest.approx(float(mp.log(ref, 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("mu,depth", _NEWTON_CASES)
+def test_each_zero_passes_the_sturm_certificate(mu, depth):
+    # x_m = target - gap; the float gap carries x_m to about 1e-16 of the gap,
+    # far inside the certified half-width
+    for e in gap_sequence(mu, depth).entries:
+        with mp.workdps(e.digits + 20):
+            mmu = novikov._to_mpf(mu)
+            eig = -(mmu + 2 / mmu - mp.mpf(e.gap)) / 2
+            width = mp.mpf(float(mu)) ** (-2 * e.m) * mp.mpf(10) ** -6
+            assert novikov._count_below_mp(mmu, e.m, eig - width / 2) == 0
+            assert novikov._count_below_mp(mmu, e.m, eig + width / 2) >= 1
+        assert e.x_m == pytest.approx(float(mu) + 2 / float(mu) - e.gap, rel=1e-15)
+
+
+def test_effort_is_recorded_per_entry():
+    seq = gap_sequence(2.0, 40)
+    assert seq.entries[0].passes == 0  # mu = (m+1)/m at m = 1 is exact
+    for e in seq.entries:
+        assert e.digits == max(30, int(2 * e.m * math.log10(2.0)) + 25)
+    # Newton plus a two-count certificate, far below bisection's ~3.3 per digit
+    assert all(3 <= e.passes <= 12 for e in seq.entries[1:])
+
+
+@pytest.mark.parametrize(
+    "stalled_step", [mp.mpf(1), mp.mpf(0), None], ids=["leaves-bracket", "zero", "none"]
+)
+def test_non_converging_newton_raises(monkeypatch, stalled_step):
+    # a pass that never finds the eigenvalue: the loop must stop at its cap and
+    # must not return the uncertified iterate
+    calls = []
+
+    def stalled(mmu, m, x):
+        calls.append(x)
+        return 0, stalled_step
+
+    monkeypatch.setattr(novikov, "_newton_pass_mp", stalled)
+    with pytest.raises(ConvergenceError) as info:
+        novikov._outlier_zero_mp(2.0, 10)
+    assert 0 < len(calls) <= 1000
+    assert info.value.residual is not None and info.value.residual >= 0.0
