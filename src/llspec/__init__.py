@@ -74,6 +74,7 @@ from .anderson import (
     build_jacobi_sample,
     compare_ids,
     empirical_ids,
+    line_ids,
     sample_window,
 )
 from .novikov import GapSequence, NsInvariant, decay_rate, gap_sequence, ns_invariant

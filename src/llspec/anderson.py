@@ -15,10 +15,13 @@ is compared against.
 Bits are drawn from a counter-based generator (Philox) keyed by the seed and
 indexed by the absolute site position, so windows are reproducible and
 disjoint windows are independent regardless of how the line is sharded.
+`line_ids` walks a long line one window at a time and keeps only a count of
+each distinct block, so its memory is bounded by the window, not the line.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,9 @@ from .measure import AtomicMeasure, _coalesce_tol, measure_cdf_mid, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
 _PHILOX_PERIOD_BLOCKS = 2 ** 256
+# sites per window of `line_ids`; a multiple of _PHILOX_BLOCK, so every
+# window starts on a counter increment and no draw is made twice
+_WINDOW = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -53,15 +59,29 @@ class JacobiSample:
 
 @dataclass(frozen=True)
 class EmpiricalIDS:
-    """Pooled block eigenvalues with uniform site weights."""
+    """Pooled block eigenvalues with uniform site weights, as (value, count) pairs.
 
-    eigenvalues: np.ndarray  # sorted ascending
-    site_count: int
+    `values` holds each distinct float64 bit pattern once, ascending, with
+    +0.0 before -0.0; `counts[i]` is how many sites carry `values[i]`.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray  # int64, all positive
     mu: float
+
+    @property
+    def site_count(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Every pooled eigenvalue once per site, sorted ascending."""
+        return np.repeat(self.values, self.counts)
 
     def cdf(self, x: float) -> float:
         """Right-continuous empirical distribution function."""
-        return float(np.searchsorted(self.eigenvalues, x, side="right")) / self.site_count
+        below = int(self.counts[: np.searchsorted(self.values, x, side="right")].sum())
+        return float(below) / self.site_count
 
 
 @dataclass(frozen=True)
@@ -122,51 +142,105 @@ def block_decompose(sample: JacobiSample) -> list[TridiagonalMatrix]:
     ]
 
 
-def _interior_rows(sample: JacobiSample) -> dict[int, np.ndarray]:
-    """Interior blocks by size, one row (diag then offdiag) per block.
+class _BlockCounts:
+    """Copies of each distinct block seen so far, keyed by its exact bytes.
 
-    The first and last blocks touch the window edges and carry truncation
-    bias, so they are left out.
+    A block of size s is keyed by the bytes of its diagonal followed by its
+    off-diagonal, so grouping looks only at the sampled entries, never at the
+    closed-form block profile, and the pooled spectrum stays an independent
+    check of the G_k zeros.
     """
-    starts, sizes = _block_bounds(sample)
-    starts, sizes = starts[1:-1], sizes[1:-1]
-    rows = {}
-    for size in np.unique(sizes).tolist():
-        idx = starts[sizes == size][:, None] + np.arange(size)
-        rows[size] = np.hstack((sample.diag[idx], sample.offdiag[idx[:, :-1]]))
-    return rows
+
+    def __init__(self, mu: float):
+        self.mu = mu
+        self.copies: dict[int, dict[bytes, int]] = {}  # size -> key -> copies
+
+    def add(self, sample: JacobiSample, first: int) -> int:
+        """Count blocks `first` up to the second-to-last; return the last one's start."""
+        if sample.mu != self.mu:
+            raise DomainError("all samples must share one parameter value")
+        starts, sizes = _block_bounds(sample)
+        last = int(starts[-1])
+        starts, sizes = starts[first:-1], sizes[first:-1]
+        for size in np.unique(sizes).tolist():
+            idx = starts[sizes == size][:, None] + np.arange(size)
+            rows = np.hstack((sample.diag[idx], sample.offdiag[idx[:, :-1]]))
+            words = rows.view(np.uint64)
+            if (words == words[0]).all():  # the usual case, without a sort
+                distinct, counts = [rows[0].tobytes()], [len(rows)]
+            else:
+                keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+                distinct, counts = np.unique(keys, return_counts=True)
+                distinct, counts = distinct.tolist(), counts.tolist()
+            tally = self.copies.setdefault(size, {})
+            for key, count in zip(distinct, counts):
+                tally[key] = tally.get(key, 0) + count
+        return last
+
+    def pool(self) -> EmpiricalIDS:
+        """Solve each distinct block once; its eigenvalues count once per copy."""
+        if not self.copies:
+            raise DomainError("no interior blocks; windows too short")
+        values, counts = [], []
+        for size, tally in self.copies.items():
+            rows = np.frombuffer(b"".join(tally), dtype=np.float64).reshape(len(tally), -1)
+            values.append(tridiag_eigs_batch(rows[:, :size], rows[:, size:]).ravel())
+            counts.append(np.repeat(np.fromiter(tally.values(), np.int64, len(tally)), size))
+        values, counts = np.concatenate(values), np.concatenate(counts)
+        patterns = values.view(np.uint64)
+        order = np.lexsort((patterns, values))
+        values, patterns, counts = values[order], patterns[order], counts[order]
+        runs = np.flatnonzero(np.concatenate(([True], patterns[1:] != patterns[:-1])))
+        return EmpiricalIDS(values=values[runs], counts=np.add.reduceat(counts, runs), mu=self.mu)
 
 
 def empirical_ids(samples: list[JacobiSample]) -> EmpiricalIDS:
     """Pool eigenvalues of all interior blocks with uniform site weights.
 
-    Blocks of one size are grouped by their exact bytes and each distinct
-    block is solved once; its eigenvalues then count once per copy.  Grouping
-    looks only at the sampled entries, never at the closed-form block
-    profile, so the pooled spectrum stays an independent check of the G_k
-    zeros.
+    Each sample is an independent window: its first and last blocks touch
+    the window edges and carry truncation bias, so they are left out.
     """
     if not samples:
         raise DomainError("need at least one sample")
-    mu = samples[0].mu
-    by_size: dict[int, list[np.ndarray]] = {}
+    counts = _BlockCounts(samples[0].mu)
     for sample in samples:
-        if sample.mu != mu:
-            raise DomainError("all samples must share one parameter value")
-        for size, rows in _interior_rows(sample).items():
-            by_size.setdefault(size, []).append(rows)
-    if not by_size:
-        raise DomainError("no interior blocks; windows too short")
-    pooled = []
-    for size in sorted(by_size):
-        rows = np.concatenate(by_size[size])
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        distinct = rows[first]
-        eigs = tridiag_eigs_batch(distinct[:, :size], distinct[:, size:])
-        pooled.append(np.repeat(eigs, counts, axis=0).ravel())
-    pooled = np.sort(np.concatenate(pooled))
-    return EmpiricalIDS(eigenvalues=pooled, site_count=len(pooled), mu=mu)
+        counts.add(sample, first=1)
+    return counts.pool()
+
+
+def _walk_line(windows: Iterable[DisorderWindow], mu: float) -> EmpiricalIDS:
+    """Pool the interior blocks of one line given as consecutive windows.
+
+    The open block at the end of each window is carried into the next one,
+    so the result is the same as for a single window over the whole line:
+    the line's first and last blocks are left out, every other block counts.
+    """
+    counts = _BlockCounts(float(mu))
+    carry = np.empty(0, dtype=np.uint8)
+    first = 1  # until the line's first block has been closed
+    for window in windows:
+        bits = np.concatenate((carry, window.bits))
+        chunk = DisorderWindow(bits=bits, offset=window.offset - len(carry), seed=window.seed)
+        last = counts.add(build_jacobi_sample(chunk, mu), first)
+        if last > 0:  # the chunk closed a block, so the line's first is behind us
+            first = 0
+        carry = bits[last:]
+    return counts.pool()
+
+
+def line_ids(seed: int, sites: int, mu: float) -> EmpiricalIDS:
+    """`empirical_ids` of the single window of sites 0 .. sites-1, in bounded memory.
+
+    The line is read `_WINDOW` sites at a time, so memory depends on the
+    window and on how many distinct blocks occur, not on `sites`.
+    """
+    if sites < 1:
+        raise DomainError("window length must be >= 1")
+    windows = (
+        sample_window(seed, offset, min(_WINDOW, sites - offset))
+        for offset in range(0, sites, _WINDOW)
+    )
+    return _walk_line(windows, mu)
 
 
 def default_checkpoints(theoretical: AtomicMeasure, count: int = 50) -> np.ndarray:

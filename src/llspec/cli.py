@@ -19,6 +19,7 @@ level cap honors the LLSPEC_NMAX environment variable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -55,46 +56,35 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(v) for v in spec.split(",") if v.strip()]
 
 
-def _write_text(out_path: str | None, text: str):
+def _write_text(out_path: str | None, chunks):
+    """Write an iterable of text chunks to `out_path`, or to stdout when it is None."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _csv_column(values) -> list[str]:
-    """Cells of one column; a float array formats each distinct value once.
-
-    Values are told apart by bit pattern, so 0.0 and -0.0 keep their own text.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        cells = np.array([format(v, _REAL) for v in distinct.view(np.float64).tolist()], dtype=object)
-        return cells[inverse].tolist()
-    return [_fmt(v) for v in values]
-
-
-def _csv_text(header, columns) -> str:
-    """Header line, then one line per row; `columns` holds one sequence per field.
+def _csv_rows(rows):
+    """One CSV line per row.
 
     No cell needs quoting: reals, integers, p/q masses, ';'-joined indices and
     fixed labels never contain a comma, a quote or a line break.
     """
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*(_csv_column(c) for c in columns)))
-    return "\n".join(lines) + "\n"
+    for row in rows:
+        yield ",".join(map(_fmt, row)) + "\n"
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, header, columns, payload):
+def _emit(args, header, lines, payload):
+    """The JSON payload, or the CSV header followed by `lines` (chunks of whole lines)."""
     if args.format == "json":
-        _write_text(args.out, _json_text(payload))
+        _write_text(args.out, [_json_text(payload)])
     else:
-        _write_text(args.out, _csv_text(header, columns))
+        _write_text(args.out, itertools.chain([",".join(header) + "\n"], lines))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +119,7 @@ def _cmd_char_poly(args) -> int:
         "max_rel_err": worst,
         "rows": [dict(zip(("lam", "phi_det", "phi_factorized", "rel_err"), r)) for r in rows],
     }
-    _emit(args, ("lam", "phi_det", "phi_factorized", "rel_err"), zip(*rows), payload)
+    _emit(args, ("lam", "phi_det", "phi_factorized", "rel_err"), _csv_rows(rows), payload)
     if args.check:
         bound = args.tol if args.tol is not None else 1e-8
         if not signs_ok or worst > bound:
@@ -143,7 +133,7 @@ def _cmd_eigs(args) -> int:
     eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, mu))
     rows = [(i, v) for i, v in enumerate(eigs)]
     payload = {"mu": args.mu, "level": args.level, "eigenvalues": [float(v) for v in eigs]}
-    _emit(args, ("index", "eigenvalue"), zip(*rows), payload)
+    _emit(args, ("index", "eigenvalue"), _csv_rows(rows), payload)
     if args.check:
         tol = args.tol if args.tol is not None else 1e-8
         if len(eigs) != 1 << args.level or np.min(np.abs(eigs - (4.0 - mu))) > tol:
@@ -172,7 +162,7 @@ def _cmd_zeros(args) -> int:
         "depth": args.depth,
         "rows": [dict(zip(("k", "index", "zero", "residual", "residual_relative"), r)) for r in rows],
     }
-    _emit(args, ("k", "index", "zero", "residual", "residual_relative"), zip(*rows), payload)
+    _emit(args, ("k", "index", "zero", "residual", "residual_relative"), _csv_rows(rows), payload)
     if args.check and not ok:
         return EXIT_CHECK
     return EXIT_OK
@@ -210,7 +200,7 @@ def _cmd_spectrum(args) -> int:
         "pencil_lo", "pencil_hi", "accumulation_point",
         "jstar_lo", "jstar_hi", "isolated_eigenvalue", "isolated_mass",
     )
-    _emit(args, header, zip(*rows), payload)
+    _emit(args, header, _csv_rows(rows), payload)
     return EXIT_OK
 
 
@@ -226,7 +216,7 @@ def _cmd_measure(args) -> int:
     rows.append(
         ("tail", "", f"{trunc.tail_mass.numerator}/{trunc.tail_mass.denominator}", "", "")
     )
-    _emit(args, ("kind", "position", "mass", "indices", "class"), zip(*rows), payload)
+    _emit(args, ("kind", "position", "mass", "indices", "class"), _csv_rows(rows), payload)
     if args.check and trunc.total_mass() != 1:
         return EXIT_CHECK
     return EXIT_OK
@@ -246,7 +236,7 @@ def _cmd_multiplicity(args) -> int:
         "level": args.level,
         "rows": [dict(zip(("lam", "multiplicity", "is_root"), r)) for r in rows],
     }
-    _emit(args, ("lam", "multiplicity", "is_root"), zip(*rows), payload)
+    _emit(args, ("lam", "multiplicity", "is_root"), _csv_rows(rows), payload)
     if args.check:
         eigs = lamplighter.dense_eigs(
             lamplighter.pencil_matrix(lamplighter.build_level(args.level),
@@ -284,22 +274,38 @@ def _cmd_joint_spectrum(args) -> int:
         "depth": args.depth,
         "rows": [dict(zip(("mu", "k", "zero", "inside_strip"), r)) for r in rows],
     }
-    _emit(args, ("mu", "k", "zero", "inside_strip"), zip(*rows), payload)
+    _emit(args, ("mu", "k", "zero", "inside_strip"), _csv_rows(rows), payload)
     if args.check and not ok:
         return EXIT_CHECK
     return EXIT_OK
 
 
+_ROWS_PER_CHUNK = 1 << 10
+
+
+def _dos_rows(ids):
+    """CSV lines of the pooled eigenvalues, one per site, in chunks of bounded size.
+
+    Row k (from 1) carries the cumulative weight k/N; the eigenvalue cell of
+    each (value, count) pair is formatted once.
+    """
+    total = ids.site_count
+    done = 0
+    for value, count in zip(ids.values.tolist(), ids.counts.tolist()):
+        line = format(value, _REAL) + ",%.17g\n"
+        for lo in range(done, done + count, _ROWS_PER_CHUNK):
+            hi = min(lo + _ROWS_PER_CHUNK, done + count)
+            yield line * (hi - lo) % tuple((np.arange(lo + 1, hi + 1) / total).tolist())
+        done += count
+
+
 def _cmd_dos(args) -> int:
     mu_param = measure.parse_mu(args.mu)
     mu = measure.mu_value(mu_param)
-    window = anderson.sample_window(args.seed, 0, args.sites)
-    sample = anderson.build_jacobi_sample(window, mu)
-    ids = anderson.empirical_ids([sample])
+    ids = anderson.line_ids(args.seed, args.sites, mu)
     trunc = measure.measure_truncation(mu_param, args.depth)
     checkpoints = anderson.default_checkpoints(trunc, count=50)
     report = anderson.compare_ids(ids, trunc, checkpoints)
-    weights = np.arange(1, ids.site_count + 1) / ids.site_count
     payload = {
         "mu": args.mu,
         "sites": args.sites,
@@ -312,7 +318,7 @@ def _cmd_dos(args) -> int:
         "empirical_cdf": list(report.empirical_cdf),
         "theoretical_mid": list(report.theoretical_mid),
     }
-    _emit(args, ("eigenvalue", "cumulative_weight"), (ids.eigenvalues, weights), payload)
+    _emit(args, ("eigenvalue", "cumulative_weight"), _dos_rows(ids), payload)
     if args.check:
         bound = args.tol if args.tol is not None else 0.02
         if report.sup_deviation >= bound:
@@ -342,7 +348,7 @@ def _cmd_ns(args) -> int:
             ],
         },
     }
-    _emit(args, ("m", "x_m", "gap", "log2_gap"), zip(*rows), payload)
+    _emit(args, ("m", "x_m", "gap", "log2_gap"), _csv_rows(rows), payload)
     if args.check:
         muf = float(mu)
         rate_ok = abs(rate * muf * muf - 1.0) <= (args.tol if args.tol is not None else 0.02)

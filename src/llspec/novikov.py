@@ -14,7 +14,9 @@ arbitrary-precision arithmetic with the working precision scaled to the
 expected decay; the target mu + 2/mu is exact there.  Newton's method on the
 truncation's determinant finds x_m in a few steps, and Sturm counts certify
 each result: an eigenvalue lies within a bracket of width mu^(-2m) * 1e-6
-around it, far below the gap.
+around it, far below the gap.  The working precision also carries
+log10(mu) digits for the size of the eigenvalue itself, and mu is capped at
+1e150, where mu^-2 is still a normal double.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .errors import ConvergenceError, DomainError, InsufficientDataError
 from .jacobi import critical_index
 
 _LN2 = math.log(2.0)
+# largest mu for a gap sequence: the decay rate mu^-2 and the `ns --check`
+# product rate * mu^2 must stay normal doubles, which fails from mu = 2^511
+# (about 6.7e153) on
+_MU_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,8 @@ def _outlier_zero_mp(mu, m: int) -> GapEntry:
     certificate, not on the iteration.
     """
     muf = float(mu)
-    digits = max(30, int(2 * m * math.log10(muf)) + 25)
+    # enough digits to resolve width next to an eigenvalue of size ~mu/2
+    digits = max(30, int(2 * m * math.log10(muf)) + 25) + max(0, int(math.log10(muf)))
     with mp.workdps(digits):
         mmu = _to_mpf(mu)
         target = mmu + 2 / mmu
@@ -191,6 +198,8 @@ def gap_sequence(mu, M: int) -> GapSequence:
     muf = float(mu)
     if muf <= 1.0:
         raise DomainError("gap sequence requires mu > 1")
+    if muf > _MU_MAX:
+        raise DomainError(f"gap sequence requires mu <= {_MU_MAX:g}, got {muf:g}")
     start = critical_index(mu if isinstance(mu, Fraction) else muf)
     if M < start + 5:
         raise DomainError(f"need M >= {start + 5} for a usable sequence")

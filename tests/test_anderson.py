@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from llspec import anderson
 from llspec.anderson import (
     DisorderWindow,
     block_decompose,
@@ -14,6 +15,7 @@ from llspec.anderson import (
     compare_ids,
     default_checkpoints,
     empirical_ids,
+    line_ids,
     sample_window,
 )
 from llspec.errors import DomainError
@@ -190,3 +192,97 @@ def test_multiple_windows_pool():
     ids = empirical_ids(samples)
     assert ids.site_count > 8000
     assert ids.cdf(10.0) == 1.0 and ids.cdf(-10.0) == 0.0
+
+
+def _same_pairs(a, b):
+    """Equal (value, count) pairs, values compared by their float64 bits."""
+    return (
+        a.values.view(np.uint64).tolist() == b.values.view(np.uint64).tolist()
+        and a.counts.tolist() == b.counts.tolist()
+    )
+
+
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=2, max_size=300),
+    window=st.integers(4, 64),
+    mu=_MU_VALUES,
+)
+@settings(max_examples=150, deadline=None)
+def test_windowed_walk_matches_one_window(bits, window, mu):
+    bits = np.asarray(bits, dtype=np.uint8)
+    windows = [
+        DisorderWindow(bits=bits[i : i + window], offset=i, seed=0)
+        for i in range(0, len(bits), window)
+    ]
+    whole = [DisorderWindow(bits=bits, offset=0, seed=0)]
+    try:
+        single = anderson._walk_line(whole, mu)
+    except DomainError:
+        with pytest.raises(DomainError, match="no interior blocks"):
+            anderson._walk_line(windows, mu)
+        return
+    assert _same_pairs(anderson._walk_line(windows, mu), single)
+    # and the same as the independent-window path over the whole line
+    assert _same_pairs(empirical_ids([_sample_from_bits(bits, mu)]), single)
+
+
+def test_line_walk_reads_philox_windows(monkeypatch):
+    assert anderson._WINDOW % 4 == 0  # windows start on a Philox counter step
+    single = empirical_ids([build_jacobi_sample(sample_window(5, 0, 3001), -1.3)])
+    for window in (4, 12, 1000, 4096):
+        monkeypatch.setattr(anderson, "_WINDOW", window)
+        assert _same_pairs(line_ids(5, 3001, -1.3), single)
+
+
+@pytest.mark.parametrize(
+    "sites, message",
+    [(0, "window length must be >= 1"), (1, "need at least two sites"),
+     (3, "no interior blocks; windows too short")],
+)
+def test_line_walk_errors_match_one_window(sites, message):
+    with pytest.raises(DomainError, match=message):
+        line_ids(7, sites, 0.0)
+    with pytest.raises(DomainError, match=message):
+        empirical_ids([build_jacobi_sample(sample_window(7, 0, sites), 0.0)])
+
+
+def test_pairs_are_distinct_bit_patterns_with_positive_zero_first():
+    counts = anderson._BlockCounts(0.0)
+    counts.copies[1] = {np.float64(-0.0).tobytes(): 2, np.float64(0.0).tobytes(): 3,
+                        np.float64(-1.0).tobytes(): 1}
+    ids = counts.pool()
+    assert ids.values.tolist() == [-1.0, 0.0, 0.0]
+    assert np.signbit(ids.values).tolist() == [True, False, True]
+    assert ids.counts.tolist() == [1, 3, 2] and ids.site_count == 6
+    assert ids.cdf(-1.0) == 1 / 6 and ids.cdf(0.0) == 1.0 and ids.cdf(-2.0) == 0.0
+    assert np.signbit(ids.eigenvalues).tolist() == [True, False, False, False, True, True]
+
+
+def test_cdf_matches_the_expanded_eigenvalues():
+    ids = line_ids(3, 50000, 0.7)
+    expanded = ids.eigenvalues
+    assert len(expanded) == ids.site_count and (np.diff(expanded) >= 0).all()
+    for x in np.linspace(-6.0, 6.0, 41).tolist() + ids.values[::7].tolist():
+        expected = float(np.searchsorted(expanded, x, side="right")) / len(expanded)
+        assert ids.cdf(x) == expected
+
+
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=2, max_size=120),
+    levels=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5]), min_size=120, max_size=120),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocks_of_one_size_with_other_entries_are_told_apart(bits, levels):
+    # entries the sampling rule never makes: blocks of one size differ, so
+    # grouping has to look at the bytes (0.0 and -0.0 apart)
+    base = _sample_from_bits(bits, 1.0)
+    sample = anderson.JacobiSample(diag=np.asarray(levels[: len(bits)]), offdiag=base.offdiag,
+                                   window=base.window, mu=1.0)
+    blocks = block_decompose(sample)[1:-1]
+    assume(blocks)
+    # not np.sort: its vectorised float sort may turn 0.0 into -0.0 or back
+    expected = np.concatenate([tridiag_eigs(b) for b in blocks])
+    ids = empirical_ids([sample])
+    got = ids.eigenvalues
+    assert sorted(got.view(np.uint64).tolist()) == sorted(expected.view(np.uint64).tolist())
+    assert np.array_equal(got, expected[np.argsort(expected, kind="stable")])

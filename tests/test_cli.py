@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import llspec
 from llspec import anderson, lamplighter, novikov
 from llspec.cli import EXIT_CHECK, EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_OK, main, run
 from llspec.errors import ConvergenceError
@@ -167,6 +172,62 @@ def test_dos_csv_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "aac9d007120cfe12ee8b51a43f798957e9719b10d69a5fba5e7a1adda289d79c"
     )
+
+
+# SHA-256 of `dos --sites 200000 --seed 7` output, taken before the line was
+# walked in windows; float:0 puts a third of all sites on the eigenvalue 0
+_DOS_DIGESTS = {
+    ("float:0", "csv"): "df35bcad101e62d04cd286393612fec57aa3804b280f73e1e91a0704b7c9601d",
+    ("float:0", "json"): "d730898155d3e8ae0f55d73be072a0a3bff6847bc7c4d7bde6c8c089c8f7151e",
+    ("float:1", "csv"): "7f1bc5911a4271e306daa547a9662572cdf7a14fc53c1ed3f64588ba0ddc1c43",
+    ("float:1", "json"): "386efbaf5b19500e3f5aee029dfcfb896d090c43c7442dbea977943de0c7d3f9",
+    ("float:-1.3", "csv"): "5a5d072f34973602f3e753a5c435de5efde2b84372687cb892456aeb52e6f5b2",
+    ("float:-1.3", "json"): "6b41bf2a1b3e8c3b45addcdc4876a4ac4496537e4897e8f0958e5c0915b662d0",
+    ("float:2", "csv"): "3c3d038a0b677de665b3f2c6795c4e48758a491f2c802f51e77cd71c62f87702",
+    ("float:2", "json"): "696c2eed8f74fb3178ac0b3c97ec1032677aabb6650c0d297ffd6f643a0773a1",
+    ("rat:3/2", "csv"): "6f1285f33e6aa31d4755618611187159102771bccc535659af57d9bb17991971",
+    ("rat:3/2", "json"): "2eea1524b22a002d11b0bcc95b3fda7e7e78b90e489c8c7c207f045e5ecf2c64",
+}
+
+
+@pytest.mark.parametrize("mu, fmt", sorted(_DOS_DIGESTS))
+def test_dos_output_bytes_are_pinned_across_parameters(capsys, mu, fmt):
+    code, out, _ = _run(
+        capsys, "dos", "--mu", mu, "--sites", "200000", "--seed", "7", "--format", fmt
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == _DOS_DIGESTS[mu, fmt]
+
+
+def _peak_rss_mb(argv) -> float:
+    """Peak resident set of `python -m llspec.cli ARGV` in a fresh process."""
+    src = str(Path(llspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "llspec.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == EXIT_OK
+    return usage.ru_maxrss / 1024.0
+
+
+@pytest.mark.parametrize("form", [("--format", "json"), ("--out", "{out}")])
+def test_dos_memory_does_not_grow_with_sites(tmp_path, form):
+    peaks = []
+    for sites in (100_000, 2_000_000):
+        extra = [a.replace("{out}", str(tmp_path / f"{sites}.csv")) for a in form]
+        argv = ["dos", "--mu", "float:0.3", "--sites", str(sites), "--seed", "7", *extra]
+        peaks.append(_peak_rss_mb(argv))
+    assert peaks[1] <= peaks[0] + 15.0, peaks
+
+
+def test_ns_large_mu_is_certified_or_refused(capsys):
+    # 1e30 needs digits for the size of the eigenvalue, not only for the gap
+    code, out, _ = _run(capsys, "ns", "--mu", "float:1e30", "--depth", "10", "--check")
+    assert code == EXIT_OK and len(out.splitlines()) == 11
+    # past 1e150 the decay rate mu^-2 would underflow a double
+    code, out, err = _run(capsys, "ns", "--mu", "float:1e200", "--depth", "10", "--check")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: gap sequence requires mu <= 1e+150, got 1e+200"]
 
 
 def test_ns_summary(capsys):
