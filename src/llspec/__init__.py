@@ -12,18 +12,9 @@ Library layout:
   cli          the `llspec` command
 """
 
-from .chebyshev import ChebEval, u_eval, u_ratio_limit, u_zeros
+from .chebyshev import u_eval, u_ratio_limit, u_zeros
 from .errors import CapacityError, ConvergenceError, DomainError, InsufficientDataError
-from .ghpolys import (
-    GHValue,
-    MonicOPValue,
-    angular_form,
-    g_value,
-    g_value_recursive,
-    g_zeros,
-    gh_value,
-    monic_op_value,
-)
+from .ghpolys import angular_form, g_value, g_value_recursive, g_zeros
 from .jacobi import (
     SpectrumDescription,
     TridiagonalMatrix,
@@ -56,7 +47,6 @@ from .measure import (
     FloatMu,
     MuParam,
     RationalMu,
-    arithmetic_progression_indices,
     atom_mass_exact,
     classify_mu,
     format_mu,

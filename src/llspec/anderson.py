@@ -36,6 +36,8 @@ _PHILOX_PERIOD_BLOCKS = 2 ** 256
 # sites per window of `line_ids`; a multiple of _PHILOX_BLOCK, so every
 # window starts on a counter increment and no draw is made twice
 _WINDOW = 1 << 14
+# points of the `dos` comparison grid
+_CHECKPOINTS = 50
 
 
 @dataclass(frozen=True)
@@ -243,12 +245,12 @@ def line_ids(seed: int, sites: int, mu: float) -> EmpiricalIDS:
     return _walk_line(windows, mu)
 
 
-def default_checkpoints(theoretical: AtomicMeasure, count: int = 50) -> np.ndarray:
+def default_checkpoints(theoretical: AtomicMeasure) -> np.ndarray:
     """A grid spanning the spectrum, nudged off the truncated atom positions."""
     x = mu_value(theoretical.mu)
     lo = -4.0 - abs(x) - 0.5
     hi = 4.0 + abs(x) + 0.5
-    pts = np.linspace(lo, hi, count)
+    pts = np.linspace(lo, hi, _CHECKPOINTS)
     positions = np.array([a.position for a in theoretical.atoms])
     guard = 1e-6
     for i, p in enumerate(pts):

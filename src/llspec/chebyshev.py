@@ -16,7 +16,6 @@ used as the primary path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -26,15 +25,6 @@ from .errors import DomainError
 # growth ~ (|x| + sqrt(x^2-1))^n never overflows even for n in the thousands.
 _BIG = 2.0 ** 512
 _BIG_INV = 2.0 ** -512
-
-
-@dataclass(frozen=True)
-class ChebEval:
-    """One evaluation U_degree(argument) = value."""
-
-    degree: int
-    argument: float
-    value: float
 
 
 def _u_pair_exact(n, x):
@@ -79,10 +69,6 @@ def u_eval(n: int, x):
         return _u_pair_exact(n, x)[1]
     _, cur, e = u_pair_scaled(n, float(x))
     return _ldexp_safe(cur, e)
-
-
-def cheb_eval(n: int, x: float) -> ChebEval:
-    return ChebEval(degree=n, argument=float(x), value=u_eval(n, float(x)))
 
 
 def u_ratio_limit(x: float) -> float:

@@ -10,10 +10,11 @@ states (dos), and the gap-decay exponent (ns).
 The parameter is passed as a tagged string ("float:0.3", "rat:7/6",
 "b1:p/q:n", "b2:j/k") so exact forms survive the CLI boundary; bare numbers
 are accepted as floats and bare p/q as rationals.  Reals are printed with 17
-significant digits, rationals as "p/q".  With --check, commands exit 3 when
-their acceptance threshold is breached (override via --tol); domain and
-capacity errors exit 2, and a solver that fails to converge exits 4.  The
-level cap honors the LLSPEC_NMAX environment variable.
+significant digits, rationals as "p/q".  With --check, every command but
+spectrum exits 3 when its acceptance threshold is breached (override via
+--tol, which joint-spectrum lacks); domain and capacity errors exit 2, and a
+solver that fails to converge exits 4.  The level cap honors the LLSPEC_NMAX
+environment variable.
 """
 
 from __future__ import annotations
@@ -45,15 +46,30 @@ def _fmt(x) -> str:
 
 def _parse_grid(spec: str) -> list[float]:
     """Either "lo:hi:count" (inclusive linspace) or a comma list of values."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"grid must be lo:hi:count, got {spec!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise DomainError("grid count must be >= 1")
-        return [float(v) for v in np.linspace(lo, hi, count)]
-    return [float(v) for v in spec.split(",") if v.strip()]
+    try:
+        if ":" not in spec:
+            values = [float(v) for v in spec.split(",") if v.strip()]
+            if not values:
+                raise ValueError("empty grid")
+            return values
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise DomainError(f"grid must be lo:hi:count or a comma list, got {spec!r}") from None
+    if count < 1:
+        raise DomainError("grid count must be >= 1")
+    return [float(v) for v in np.linspace(lo, hi, count)]
+
+
+def _tolerance(text: str) -> float:
+    """Type of --tol: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _write_text(out_path: str | None, chunks):
@@ -304,7 +320,7 @@ def _cmd_dos(args) -> int:
     mu = measure.mu_value(mu_param)
     ids = anderson.line_ids(args.seed, args.sites, mu)
     trunc = measure.measure_truncation(mu_param, args.depth)
-    checkpoints = anderson.default_checkpoints(trunc, count=50)
+    checkpoints = anderson.default_checkpoints(trunc)
     report = anderson.compare_ids(ids, trunc, checkpoints)
     payload = {
         "mu": args.mu,
@@ -364,7 +380,7 @@ def _cmd_ns(args) -> int:
 
 
 def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False,
-                sites=False):
+                sites=False, check=True, tol=True):
     if mu:
         sub.add_argument("--mu", required=True, help="parameter, e.g. float:0.3 or rat:7/6")
     if level:
@@ -385,8 +401,11 @@ def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False
         sub.add_argument("--sites", type=int, default=100000)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--check", action="store_true", help="exit 3 if the acceptance bound fails")
-    sub.add_argument("--tol", type=float, default=None, help="tolerance / check-bound override")
+    if check:
+        sub.add_argument("--check", action="store_true", help="exit 3 if the acceptance bound fails")
+    if tol:
+        sub.add_argument("--tol", type=_tolerance, default=None,
+                         help="tolerance / check-bound override (finite, >= 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_zeros)
 
     sub = subs.add_parser("spectrum", help="band, accumulation point and isolated mass")
-    _add_common(sub, mu=True)
+    _add_common(sub, mu=True, check=False, tol=False)
     sub.set_defaults(func=_cmd_spectrum)
 
     sub = subs.add_parser("measure", help="truncated atomic spectral measure")
@@ -421,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_multiplicity)
 
     sub = subs.add_parser("joint-spectrum", help="zero chart over a parameter grid")
-    _add_common(sub, depth=8, grid="-3:3:25")
+    _add_common(sub, depth=8, grid="-3:3:25", tol=False)
     sub.set_defaults(func=_cmd_joint_spectrum)
 
     sub = subs.add_parser("dos", help="empirical density of states vs the measure")

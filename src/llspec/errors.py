@@ -10,7 +10,11 @@ class CapacityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver failed to reach its tolerance within the sweep limit."""
+    """Iterative solver failed to reach its tolerance within its limit.
+
+    The limits are the rotation sweeps of the dense eigensolver and the
+    Newton step cap of the `ns` outlier zeros.
+    """
 
     def __init__(self, message, residual=None):
         super().__init__(message)

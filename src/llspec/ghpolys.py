@@ -29,7 +29,6 @@ deliberately avoided (exponentially ill-conditioned).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +37,6 @@ from .errors import DomainError
 from .jacobi import jstar_truncation, tridiag_eigs
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class GHValue:
-    """Normalized pair (G_k / 2^k, H_k / 2^(k-1)) at one point (lam, mu)."""
-
-    k: int
-    lam: float
-    mu: float
-    g_normalized: float
-    h_normalized: float
-
-
-@dataclass(frozen=True)
-class MonicOPValue:
-    """P_k(z), the degree-k monic orthogonal polynomial of J*(mu), at z."""
-
-    k: int
-    z: float
-    mu: float
-    value: float
 
 
 def _g_terms(k: int, lam: float, mu: float) -> tuple[float, float, int]:
@@ -119,19 +97,6 @@ def g_value_recursive(k: int, lam: float, mu: float) -> float:
         return math.ldexp(g, e)
     except OverflowError:
         return math.copysign(math.inf, g)
-
-
-def gh_value(k: int, lam: float, mu: float) -> GHValue:
-    """Both normalized members at (lam, mu); H_k / 2^(k-1) = G_{k-1} / 2^(k-1)."""
-    if k < 1:
-        raise DomainError("index k must be >= 1")
-    h = 1.0 if k == 1 else g_value(k - 1, lam, mu)
-    return GHValue(k=k, lam=lam, mu=mu, g_normalized=g_value(k, lam, mu), h_normalized=h)
-
-
-def monic_op_value(k: int, z: float, mu: float) -> MonicOPValue:
-    """P_k(z) = 2^-k G_k(-2z, mu), monic of degree k."""
-    return MonicOPValue(k=k, z=z, mu=mu, value=g_value(k, -2.0 * z, mu))
 
 
 def angular_form(k: int, t: float, mu: float) -> float:

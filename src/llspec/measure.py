@@ -63,8 +63,6 @@ __all__ = [
     "multiplicity_in_phi",
     "ids_cdf",
     "measure_cdf_mid",
-    "ProgressionIndices",
-    "arithmetic_progression_indices",
     "measure_to_json",
 ]
 
@@ -98,6 +96,7 @@ class RationalMu:
         g = math.gcd(self.p, self.q)
         object.__setattr__(self, "p", self.p // g)
         object.__setattr__(self, "q", self.q // g)
+        _require_float_value(self)
 
     @property
     def fraction(self) -> Fraction:
@@ -119,6 +118,7 @@ class B1Mu:
             raise DomainError("p/q must be in lowest terms")
         if self.n < 1 or self.n % self.q == 0:
             raise DomainError("index n must be >= 1 and not a multiple of q")
+        _require_float_value(self)
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,7 @@ class B2Mu:
     def __post_init__(self):
         if not (1 <= self.j <= self.k):
             raise DomainError("need 1 <= j <= k")
+        _require_float_value(self)
 
 
 MuParam = Union[FloatMu, RationalMu, B1Mu, B2Mu]
@@ -161,6 +162,16 @@ def mu_value(mu: MuParam) -> float:
             return 1.0 if jr == 1 else -1.0
         return 2.0 * math.cos(jr * math.pi / mr)
     raise DomainError(f"not a parameter form: {mu!r}")
+
+
+def _require_float_value(mu: MuParam) -> None:
+    """Refuse an exact form whose value has no finite float (huge integers overflow)."""
+    try:
+        finite = math.isfinite(mu_value(mu))
+    except (OverflowError, ValueError):
+        finite = False
+    if not finite:
+        raise DomainError("parameter value does not fit in a float")
 
 
 def mu_fraction(mu: MuParam):
@@ -228,7 +239,7 @@ class MuClassification:
 
 
 def _coalesce_tol(x: float) -> float:
-    return 1e-9 * max(1.0, abs(4.0 - x) + abs(4.0 + x))
+    return 1e-9 * (abs(4.0 - x) + abs(4.0 + x))
 
 
 def _group_zeros(x: float, kmax: int, tol: float):
@@ -259,15 +270,12 @@ def _group_zeros(x: float, kmax: int, tol: float):
     return out
 
 
-def _progression_of(indices) -> tuple[int, int | None]:
-    """(first index, common step or None) of an observed index family."""
-    k0 = indices[0]
-    if len(indices) == 1:
-        return k0, None
+def _progression_of(indices) -> tuple[int, int]:
+    """(first index, common step) of an observed family of two or more indices."""
     diffs = {b - a for a, b in zip(indices, indices[1:])}
     if len(diffs) != 1:
         raise DomainError(f"collision indices {indices} are not an arithmetic progression")
-    return k0, diffs.pop()
+    return indices[0], diffs.pop()
 
 
 def _recover_angle(x: float, pos: float, step: int):
@@ -306,7 +314,13 @@ _RATIONAL_B1 = {
 _RATIONAL_B2 = {Fraction(0): 1, Fraction(1): 2, Fraction(-1): 2}
 
 
-def classify_mu(mu: MuParam, k_max: int = 20, tol: float = 1e-9) -> MuClassification:
+# bounded scans behind the heuristic answers: indices 1.._SCAN_DEPTH, and how
+# close a float must come to 1 + 1/k or to a zero of U_k
+_SCAN_DEPTH = 20
+_SCAN_TOL = 1e-9
+
+
+def classify_mu(mu: MuParam) -> MuClassification:
     """Decide B1/B2/B3 membership with witnesses.
 
     Structured forms are decided exactly where possible (B1Mu/B2Mu by
@@ -314,8 +328,6 @@ def classify_mu(mu: MuParam, k_max: int = 20, tol: float = 1e-9) -> MuClassifica
     arguments); everything that rests on a bounded numeric scan sets the
     heuristic flag.
     """
-    if k_max < 2:
-        raise DomainError("need k_max >= 2")
     x = mu_value(mu)
     heuristic = False
 
@@ -326,9 +338,9 @@ def classify_mu(mu: MuParam, k_max: int = 20, tol: float = 1e-9) -> MuClassifica
             in_b3, b3_w = True, (frac - 1).denominator
     elif isinstance(mu, B2Mu):
         pass  # 2cos(j pi/(k+1)) is rational only for 0, +-1, never 1 + 1/k
-    elif x > 1.0 + tol:
+    elif x > 1.0 + _SCAN_TOL:
         k = round(1.0 / (x - 1.0))
-        if 1 <= k <= 10 ** 6 and abs(x - 1.0 - 1.0 / k) < tol:
+        if 1 <= k <= 10 ** 6 and abs(x - 1.0 - 1.0 / k) < _SCAN_TOL:
             in_b3, b3_w = True, k
             heuristic = True
 
@@ -347,8 +359,8 @@ def classify_mu(mu: MuParam, k_max: int = 20, tol: float = 1e-9) -> MuClassifica
         # rational angle is 0, +-1/2 or +-1, and +-1 is never a U-zero
     else:
         heuristic = True  # bounded scan either way
-        for k in range(1, k_max + 1):
-            if abs(u_eval(k, -x / 2.0)) < tol:
+        for k in range(1, _SCAN_DEPTH + 1):
+            if abs(u_eval(k, -x / 2.0)) < _SCAN_TOL:
                 in_b2, b2_w = True, k
                 break
 
@@ -364,14 +376,12 @@ def classify_mu(mu: MuParam, k_max: int = 20, tol: float = 1e-9) -> MuClassifica
     else:
         collisions = [
             (pos, ks)
-            for pos, ks in _group_zeros(x, k_max, max(tol, _coalesce_tol(x)))
+            for pos, ks in _group_zeros(x, _SCAN_DEPTH, _coalesce_tol(x))
             if len(ks) >= 2
         ]
         witnesses = []
         for pos, ks in collisions:
             k0, step = _progression_of(ks)
-            if step is None:
-                continue
             angle = _recover_angle(x, pos, step)
             if angle is None:
                 continue
@@ -421,9 +431,8 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum((a.mass for a in self.atoms), Fraction(0)) + self.tail_mass
 
-    def atom_near(self, position: float, tol: float | None = None) -> Atom:
-        x = mu_value(self.mu)
-        tol = _coalesce_tol(x) if tol is None else tol
+    def atom_near(self, position: float) -> Atom:
+        tol = _coalesce_tol(mu_value(self.mu))
         for atom in self.atoms:
             if abs(atom.position - position) <= tol:
                 return atom
@@ -561,41 +570,6 @@ def ids_cdf(measure: AtomicMeasure, x: float) -> tuple[Fraction, Fraction]:
 def measure_cdf_mid(measure: AtomicMeasure, x: float) -> float:
     lo, hi = ids_cdf(measure, x)
     return float(lo + hi) / 2.0
-
-
-@dataclass(frozen=True)
-class ProgressionIndices:
-    k0: int
-    step: int | None  # None: the atom belongs to a single polynomial
-
-
-def arithmetic_progression_indices(
-    mu: MuParam, atom, k_max: int = 30, tol: float | None = None
-) -> ProgressionIndices:
-    """Indices k with G_k vanishing at the atom: first member and step.
-
-    Exact for structured forms (step q for an in-band collision angle p pi/q,
-    step k+1 starting at 1 for the atom at lam = mu); otherwise read off a
-    bounded scan, returning step None when only one polynomial contributes.
-    """
-    pos = atom.position if isinstance(atom, Atom) else float(atom)
-    x = mu_value(mu)
-    coal = _coalesce_tol(x) if tol is None else tol
-    cls = classify_mu(mu)
-    if cls.in_b2 and cls.b2_witness is not None and abs(pos - x) <= coal:
-        return ProgressionIndices(k0=1, step=cls.b2_witness + 1)
-    if cls.in_b1 and cls.b1_witness is not None:
-        p, q, n0 = cls.b1_witness
-        expected = -x - 4.0 * math.cos(p * math.pi / q)
-        if abs(pos - expected) <= coal:
-            return ProgressionIndices(k0=n0, step=q)
-    observed = [
-        k for k in range(1, k_max + 1) if np.min(np.abs(g_zeros(k, x) - pos)) <= coal
-    ]
-    if not observed:
-        raise DomainError(f"{pos} is not a zero of any G_k for k <= {k_max}")
-    k0, step = _progression_of(observed)
-    return ProgressionIndices(k0=k0, step=step)
 
 
 def measure_to_json(measure: AtomicMeasure) -> dict:

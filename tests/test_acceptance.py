@@ -218,7 +218,7 @@ def test_criterion_08_density_of_states():
             [build_jacobi_sample(sample_window(20260810, 0, 100000), 0.3)]
         )
         trunc = measure_truncation(FloatMu(0.3), 12)
-        report = compare_ids(ids, trunc, default_checkpoints(trunc, 50))
+        report = compare_ids(ids, trunc, default_checkpoints(trunc))
         assert report.sup_deviation < 0.02
 
         ids2 = empirical_ids(

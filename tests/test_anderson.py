@@ -127,11 +127,11 @@ def test_compare_ids_pipeline():
     mu = FloatMu(0.3)
     ids = empirical_ids([build_jacobi_sample(sample_window(12345, 0, 100000), 0.3)])
     trunc = measure_truncation(mu, 12)
-    report = compare_ids(ids, trunc, default_checkpoints(trunc, 50))
+    report = compare_ids(ids, trunc, default_checkpoints(trunc))
     assert report.sup_deviation < 0.02
     assert report.tail_mass == pytest.approx(14.0 / 2.0 ** 13)
     # self-comparison of the truncated measure is exactly zero
-    self_report = compare_ids(trunc, trunc, default_checkpoints(trunc, 50))
+    self_report = compare_ids(trunc, trunc, default_checkpoints(trunc))
     assert self_report.sup_deviation == 0.0
 
 
@@ -141,7 +141,7 @@ def test_exceptional_parameter_end_to_end():
     # the disorder route must reproduce both without knowing any of that
     ids = empirical_ids([build_jacobi_sample(sample_window(31415, 0, 100000), 1.0)])
     trunc = measure_truncation(RationalMu(1, 1), 12)
-    report = compare_ids(ids, trunc, default_checkpoints(trunc, 50))
+    report = compare_ids(ids, trunc, default_checkpoints(trunc))
     assert report.sup_deviation < 0.02
     at_one = np.mean(np.abs(ids.eigenvalues - 1.0) < 1e-9)
     assert abs(at_one - 2.0 / 7.0) < 0.01

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llspec.chebyshev import cheb_eval, u_eval, u_ratio_limit, u_zeros
+from llspec.chebyshev import u_eval, u_ratio_limit, u_zeros
 from llspec.errors import DomainError
 
 
@@ -53,12 +53,6 @@ def test_no_overflow_in_contract_range():
         assert math.isfinite(v)
     # magnitude grows geometrically: degree 200 at x = 10 is near 1e260
     assert abs(u_eval(200, 10.0)) > 1e250
-
-
-def test_cheb_eval_record():
-    rec = cheb_eval(4, 0.5)
-    assert rec.degree == 4 and rec.argument == 0.5
-    assert rec.value == u_eval(4, 0.5)
 
 
 def test_ratio_limit_values():

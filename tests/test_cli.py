@@ -337,3 +337,78 @@ def test_csv_reals_have_full_precision(capsys):
     assert code == EXIT_OK
     row = out.strip().splitlines()[1].split(",")
     assert row[2] == "0.10000000000000001" or row[2] == "0.1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid=a:b:3"),
+        ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid=0:1:2.5"),
+        ("multiplicity", "--level", "2", "--mu", "float:0.3", "--grid", "foo"),
+        ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid", ",", "--check"),
+        ("joint-spectrum", "--depth", "2", "--grid", " ", "--check"),
+    ],
+)
+def test_malformed_grid_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "grid" in err
+
+
+_HUGE = "1" + "0" * 400  # an integer far beyond the largest double
+
+
+@pytest.mark.parametrize("mu", [f"rat:{_HUGE}/1", f"b1:1/{_HUGE}:1", f"b2:1/{_HUGE}"])
+def test_parameter_overflowing_a_float_exits_two(capsys, mu):
+    code, out, err = _run(capsys, "spectrum", "--mu", mu)
+    assert code == EXIT_DOMAIN and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert err.rstrip().endswith("does not fit in a float")
+
+
+def test_parameter_underflowing_to_zero_is_accepted(capsys):
+    assert _run(capsys, "spectrum", "--mu", f"rat:1/{_HUGE}") == \
+        _run(capsys, "spectrum", "--mu", "rat:0/1")
+
+
+_CHECKED = {
+    "char-poly": ("char-poly", "--level", "2", "--mu", "rat:0/1", "--grid", "0,1,3"),
+    "eigs": ("eigs", "--level", "2", "--mu", "float:0.3"),
+    "zeros": ("zeros", "--mu", "float:0.3", "--depth", "3"),
+    "measure": ("measure", "--mu", "rat:0/1", "--depth", "5"),
+    "multiplicity": ("multiplicity", "--level", "2", "--mu", "rat:0/1", "--grid", "0"),
+    "dos": ("dos", "--mu", "float:0.3", "--sites", "2000", "--depth", "8"),
+    "ns": ("ns", "--mu", "float:2", "--depth", "8"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHECKED))
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "abc"])
+def test_bad_tolerance_exits_two_at_parse_time(capsys, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*_CHECKED[command], "--check", "--tol", tol])
+    assert exc.value.code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --tol" in captured.err
+
+
+@pytest.mark.parametrize("command", ["char-poly", "measure"])
+def test_zero_tolerance_is_allowed(capsys, command):
+    # both outputs are exact: the level-2 determinant at mu = 0, and rational masses
+    assert _run(capsys, *_CHECKED[command], "--check", "--tol", "0")[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--mu", "float:0.3", "--check"),
+        ("spectrum", "--mu", "float:0.3", "--check", "--tol", "5"),
+        ("spectrum", "--mu", "float:0.3", "--tol", "5"),
+        ("joint-spectrum", "--depth", "3", "--grid", "0", "--tol", "5"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_DOMAIN
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -13,8 +13,6 @@ from llspec.ghpolys import (
     g_value_recursive,
     g_value_with_scale,
     g_zeros,
-    gh_value,
-    monic_op_value,
 )
 from llspec.jacobi import critical_index, jstar_truncation, tridiag_eigs
 
@@ -104,15 +102,6 @@ def test_angular_form_values_and_domain():
     for t in (0.0, math.pi, -0.5, 4.0):
         with pytest.raises(DomainError):
             angular_form(3, t, 0.5)
-
-
-def test_gh_pair_and_monic_values():
-    rec = gh_value(4, 0.3, 0.7)
-    assert rec.h_normalized == pytest.approx(g_value(3, 0.3, 0.7))
-    assert gh_value(1, 0.3, 0.7).h_normalized == 1.0
-    # P_k(z) = 2^-k G_k(-2z): monic linear member is z + mu/2
-    for z in (-1.0, 0.25, 2.0):
-        assert monic_op_value(1, z, 0.7).value == pytest.approx(z + 0.35)
 
 
 def test_g_zeros_small_cases():

@@ -17,7 +17,6 @@ from llspec.measure import (
     B2Mu,
     FloatMu,
     RationalMu,
-    arithmetic_progression_indices,
     atom_mass_exact,
     classify_mu,
     format_mu,
@@ -54,6 +53,30 @@ def test_non_finite_parameters_rejected(text):
         parse_mu(text)
     with pytest.raises(DomainError):
         FloatMu(float(text.removeprefix("float:")))
+
+
+_HUGE = 10 ** 400  # beyond the largest double, about 1.8e308
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RationalMu(_HUGE, 1),
+        lambda: RationalMu(-_HUGE, 3),
+        lambda: B1Mu(1, _HUGE, 1),
+        lambda: B1Mu(4, 5, _HUGE + 1),
+        lambda: B2Mu(1, _HUGE),
+    ],
+)
+def test_parameters_without_a_float_value_rejected(make):
+    with pytest.raises(DomainError, match="does not fit in a float"):
+        make()
+
+
+def test_huge_exact_parts_with_a_float_value_accepted():
+    assert mu_value(RationalMu(1, _HUGE)) == 0.0
+    assert mu_value(RationalMu(3 * _HUGE, 2 * _HUGE)) == 1.5
+    assert format_mu(parse_mu(f"rat:1/{_HUGE}")) == f"rat:1/{_HUGE}"
 
 
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
@@ -141,11 +164,6 @@ def test_classify_floats_are_heuristic():
     assert not classify_mu(FloatMu(1.0 + 4e-16)).in_b3  # epsilon above 1
 
 
-def test_classify_requires_k_max():
-    with pytest.raises(DomainError):
-        classify_mu(FloatMu(0.3), k_max=1)
-
-
 # ---------------------------------------------------------------------------
 # truncated measure
 # ---------------------------------------------------------------------------
@@ -178,6 +196,9 @@ def test_atom_at_one_partial_sums():
     m25 = measure_truncation(RationalMu(1, 1), 25)
     atom = m25.atom_near(1.0)
     assert atom.indices == (1, 4, 7, 10, 13, 16, 19, 22, 25)
+    # a direct scan of G_j(1, 1) finds indices 1, k + 2, 2k + 3, ... with k = 2
+    hits = [j for j in range(1, 21) if abs(g_value(j, 1.0, 1.0)) < 1e-9]
+    assert hits == [1, 4, 7, 10, 13, 16, 19]
     assert abs(float(atom.mass) - 2.0 / 7.0) < 1e-3
     assert atom.kind == "B2_merged"
 
@@ -303,7 +324,7 @@ def test_generic_zero_sets_disjoint():
 
 
 # ---------------------------------------------------------------------------
-# distribution function and progressions
+# distribution function
 # ---------------------------------------------------------------------------
 
 
@@ -319,22 +340,6 @@ def test_cdf_symmetry_at_flat_parameter():
     m = measure_truncation(RationalMu(0, 1), 9)
     lo, hi = ids_cdf(m, 0.0)
     assert lo >= Fraction(1, 2) - m.tail_mass
-
-
-def test_progression_indices():
-    assert arithmetic_progression_indices(RationalMu(0, 1), 0.0) == \
-        arithmetic_progression_indices(B1Mu(1, 2, 1), 0.0)
-    p0 = arithmetic_progression_indices(RationalMu(0, 1), 0.0)
-    assert (p0.k0, p0.step) == (1, 2)
-    p1 = arithmetic_progression_indices(RationalMu(1, 1), 1.0)
-    assert (p1.k0, p1.step) == (1, 3)
-    # scan route confirms the derived start k + 2 for the recurring atom
-    hits = [j for j in range(1, 21) if abs(g_value(j, 1.0, 1.0)) < 1e-9]
-    assert hits == [1, 4, 7, 10, 13, 16, 19]
-    generic = arithmetic_progression_indices(FloatMu(0.3), float(g_zeros(3, 0.3)[1]))
-    assert generic.k0 == 3 and generic.step is None
-    with pytest.raises(DomainError):
-        arithmetic_progression_indices(FloatMu(0.3), 42.0)
 
 
 def test_json_serialization():
