@@ -27,7 +27,9 @@ import sys
 
 import numpy as np
 
-from . import anderson, ghpolys, jacobi, lamplighter, measure, novikov
+# every command parses --mu through measure; the other layers are imported by
+# the commands that call them, so a command loads only the modules it runs
+from . import ghpolys, jacobi, measure
 from .errors import CapacityError, ConvergenceError, DomainError, InsufficientDataError
 
 EXIT_OK = 0
@@ -45,20 +47,26 @@ def _fmt(x) -> str:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Either "lo:hi:count" (inclusive linspace) or a comma list of values."""
+    """Either "lo:hi:count" (inclusive linspace) or a comma list; every value finite."""
     try:
         if ":" not in spec:
             values = [float(v) for v in spec.split(",") if v.strip()]
             if not values:
                 raise ValueError("empty grid")
-            return values
-        lo, hi, count = spec.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+            count = None
+        else:
+            lo, hi, count = spec.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise DomainError(f"grid must be lo:hi:count or a comma list, got {spec!r}") from None
-    if count < 1:
-        raise DomainError("grid count must be >= 1")
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    if count is not None:
+        if count < 1:
+            raise DomainError("grid count must be >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # hi - lo may overflow
+            values = [float(v) for v in np.linspace(lo, hi, count)]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"grid values must be finite, got {spec!r}")
+    return values
 
 
 def _tolerance(text: str) -> float:
@@ -109,6 +117,8 @@ def _emit(args, header, lines, payload):
 
 
 def _cmd_char_poly(args) -> int:
+    from . import lamplighter
+
     mu = measure.mu_value(measure.parse_mu(args.mu))
     grid = _parse_grid(args.grid)
     rows = []
@@ -144,6 +154,8 @@ def _cmd_char_poly(args) -> int:
 
 
 def _cmd_eigs(args) -> int:
+    from . import lamplighter
+
     mu = measure.mu_value(measure.parse_mu(args.mu))
     rep = lamplighter.build_level(args.level)
     eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, mu))
@@ -159,6 +171,8 @@ def _cmd_eigs(args) -> int:
 
 def _cmd_zeros(args) -> int:
     mu = measure.mu_value(measure.parse_mu(args.mu))
+    if args.depth < 1:
+        raise DomainError("depth must be >= 1")
     rows = []
     ok = True
     tol_scale = args.tol if args.tol is not None else 1e-8
@@ -239,6 +253,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
+    from . import lamplighter
+
     mu = measure.parse_mu(args.mu)
     rows = []
     for lam in _parse_grid(args.grid):
@@ -266,6 +282,8 @@ def _cmd_multiplicity(args) -> int:
 
 
 def _cmd_joint_spectrum(args) -> int:
+    if args.depth < 1:
+        raise DomainError("depth must be >= 1")
     rows = []
     ok = True
     for mu in _parse_grid(args.grid):
@@ -316,6 +334,8 @@ def _dos_rows(ids):
 
 
 def _cmd_dos(args) -> int:
+    from . import anderson
+
     mu_param = measure.parse_mu(args.mu)
     mu = measure.mu_value(mu_param)
     ids = anderson.line_ids(args.seed, args.sites, mu)
@@ -343,6 +363,8 @@ def _cmd_dos(args) -> int:
 
 
 def _cmd_ns(args) -> int:
+    from . import novikov
+
     mu_param = measure.parse_mu(args.mu)
     frac = measure.mu_fraction(mu_param)
     mu = frac if frac is not None else measure.mu_value(mu_param)

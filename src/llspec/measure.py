@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import mpmath as mp
 import numpy as np
 
 from .chebyshev import u_eval
@@ -299,6 +298,8 @@ def _b1_identity_holds(mu_exact: Fraction, p: int, q: int, n0: int) -> bool:
     height a nonzero value of this algebraic number cannot be below 1e-45,
     so the numeric test is conclusive.
     """
+    import mpmath as mp  # only rational witnesses need it; most commands never load it
+
     with mp.workdps(60):
         t = mp.pi * p / q
         val = mp.sin((n0 + 1) * t) + mp.mpf(mu_exact.numerator) / mu_exact.denominator * mp.sin(n0 * t)

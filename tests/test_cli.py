@@ -347,12 +347,32 @@ def test_csv_reals_have_full_precision(capsys):
         ("multiplicity", "--level", "2", "--mu", "float:0.3", "--grid", "foo"),
         ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid", ",", "--check"),
         ("joint-spectrum", "--depth", "2", "--grid", " ", "--check"),
+        # non-finite values, in a comma list, at an end, or from hi - lo overflowing
+        ("multiplicity", "--level", "3", "--mu", "float:0.3", "--grid", "nan,inf", "--check"),
+        ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid=0:inf:3"),
+        ("joint-spectrum", "--depth", "2", "--grid=nan:1:3", "--check"),
+        ("multiplicity", "--level", "2", "--mu", "float:0.3", "--grid=-1e308:1e308:3"),
     ],
 )
 def test_malformed_grid_exits_two(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_DOMAIN and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", "--mu", "float:0.3", "--depth", "-3", "--check"),
+        ("joint-spectrum", "--depth", "0", "--check"),
+        ("measure", "--mu", "float:0.3", "--depth", "0", "--check"),
+        ("dos", "--mu", "float:0.3", "--sites", "2000", "--depth", "0", "--check"),
+    ],
+)
+def test_depth_below_one_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: depth must be >= 1"]
 
 
 _HUGE = "1" + "0" * 400  # an integer far beyond the largest double

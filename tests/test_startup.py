@@ -1,0 +1,77 @@
+"""Start-up footprint: a command imports only the modules it runs.
+
+Every `llspec` command starts a fresh interpreter, where imports are most of
+the cost of the cheap commands.  `llspec` resolves its public names on first
+use, `llspec.cli` imports a layer inside the commands that call it, and
+`mpmath` is imported only where multiprecision arithmetic runs.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import llspec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# modules that only some commands need
+OPTIONAL = ("llspec.anderson", "llspec.lamplighter", "llspec.novikov", "mpmath", "numpy.random")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Which of OPTIONAL a fresh interpreter holds after running `code`."""
+    probe = f"{code}\nimport sys\nprint('loaded:', *sorted(set({OPTIONAL!r}) & sys.modules.keys()))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    ).stdout
+    last = out.splitlines()[-1].split()
+    assert last[0] == "loaded:"
+    return last[1:]
+
+
+def test_parser_loads_no_optional_module():
+    assert _loaded_after("import llspec.cli; llspec.cli.build_parser()") == []
+
+
+# one command of each kind, with the optional modules it needs
+COMMANDS = [
+    (["zeros", "--mu", "float:0.3", "--depth", "3", "--check"], []),
+    (["spectrum", "--mu", "rat:2/1"], []),
+    (["measure", "--mu", "rat:3/2", "--depth", "12", "--check"], []),
+    (["joint-spectrum", "--depth", "2", "--grid", "0,2", "--check"], []),
+    (["eigs", "--level", "2", "--mu", "float:0.3", "--check"], ["llspec.lamplighter"]),
+    (["char-poly", "--level", "2", "--mu", "rat:7/6", "--grid", "0", "--check"],
+     ["llspec.lamplighter"]),
+    (["multiplicity", "--level", "2", "--mu", "rat:2/1", "--grid", "2", "--check"],
+     ["llspec.lamplighter"]),
+    (["dos", "--mu", "float:0.3", "--sites", "2000", "--depth", "8", "--check"],
+     ["llspec.anderson", "numpy.random"]),
+    (["ns", "--mu", "float:2", "--depth", "12", "--check"], ["llspec.novikov", "mpmath"]),
+]
+
+
+@pytest.mark.parametrize("argv, expected", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+def test_command_loads_only_what_it_runs(argv, expected):
+    code = (
+        "import os, llspec.cli\n"
+        f"assert llspec.cli.main({argv!r} + ['--out', os.devnull]) == 0"
+    )
+    assert _loaded_after(code) == expected
+
+
+def test_public_names_resolve_to_the_submodule_objects():
+    # the table behind dir(llspec), which tests/test_api.py pins name by name
+    for name, module in llspec._SUBMODULE_OF.items():
+        assert getattr(llspec, name) is vars(importlib.import_module(f"llspec.{module}"))[name]
+    for module in llspec._SUBMODULES:
+        assert getattr(llspec, module) is importlib.import_module(f"llspec.{module}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        llspec.no_such_name
