@@ -33,6 +33,7 @@ from .measure import AtomicMeasure, _coalesce_tol, measure_cdf_mid, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
 _PHILOX_PERIOD_BLOCKS = 2 ** 256
+_PHILOX_KEYS = 2 ** 128  # a seed is a Philox key, one of 0 .. 2^128 - 1
 # sites per window of `line_ids`; a multiple of _PHILOX_BLOCK, so every
 # window starts on a counter increment and no draw is made twice
 _WINDOW = 1 << 14
@@ -104,6 +105,8 @@ def sample_window(seed: int, offset: int, length: int) -> DisorderWindow:
     """
     if length < 1:
         raise DomainError("window length must be >= 1")
+    if not 0 <= seed < _PHILOX_KEYS:
+        raise DomainError(f"seed must be in [0, 2**128), got {seed}")
     first_block, head = divmod(offset, _PHILOX_BLOCK)
     gen = Philox(key=seed)
     gen.advance(first_block % _PHILOX_PERIOD_BLOCKS)

@@ -20,6 +20,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -122,8 +123,6 @@ def _cmd_char_poly(args) -> int:
     mu = measure.mu_value(measure.parse_mu(args.mu))
     grid = _parse_grid(args.grid)
     rows = []
-    worst = 0.0
-    signs_ok = True
     for lam in grid:
         s_det, l_det = lamplighter.phi_det_signlog(args.level, lam, mu)
         s_fac, l_fac = lamplighter.phi_factorized_signlog(args.level, lam, mu)
@@ -131,14 +130,13 @@ def _cmd_char_poly(args) -> int:
             rel = 0.0
         elif s_det != s_fac:
             rel = math.inf
-            signs_ok = False
         else:
             rel = abs(l_det - l_fac) / max(1.0, abs(l_det), abs(l_fac))
-        worst = max(worst, rel)
         rows.append(
             (lam, lamplighter._signlog_float(s_det, l_det),
              lamplighter._signlog_float(s_fac, l_fac), rel)
         )
+    worst = float(np.max([row[3] for row in rows]))  # a NaN propagates, unlike max()
     payload = {
         "mu": args.mu,
         "level": args.level,
@@ -148,7 +146,7 @@ def _cmd_char_poly(args) -> int:
     _emit(args, ("lam", "phi_det", "phi_factorized", "rel_err"), _csv_rows(rows), payload)
     if args.check:
         bound = args.tol if args.tol is not None else 1e-8
-        if not signs_ok or worst > bound:
+        if not worst <= bound:  # a sign mismatch is inf, and NaN fails too
             return EXIT_CHECK
     return EXIT_OK
 
@@ -256,8 +254,17 @@ def _cmd_multiplicity(args) -> int:
     from . import lamplighter
 
     mu = measure.parse_mu(args.mu)
+    grid = _parse_grid(args.grid)
+    # below, a DomainError of multiplicity_in_phi means "not a root"
+    if args.level < 1:
+        raise DomainError("level must be >= 1")
+    if args.check:
+        eigs = lamplighter.dense_eigs(
+            lamplighter.pencil_matrix(lamplighter.build_level(args.level),
+                                      measure.mu_value(mu))
+        )
     rows = []
-    for lam in _parse_grid(args.grid):
+    for lam in grid:
         try:
             mult = measure.multiplicity_in_phi(args.level, lam, mu, tol=args.tol)
             rows.append((lam, mult, 1))
@@ -270,10 +277,6 @@ def _cmd_multiplicity(args) -> int:
     }
     _emit(args, ("lam", "multiplicity", "is_root"), _csv_rows(rows), payload)
     if args.check:
-        eigs = lamplighter.dense_eigs(
-            lamplighter.pencil_matrix(lamplighter.build_level(args.level),
-                                      measure.mu_value(mu))
-        )
         for lam, mult, is_root in rows:
             cluster = int(np.sum(np.abs(eigs - lam) <= 1e-7))
             if cluster != mult:
@@ -314,23 +317,106 @@ def _cmd_joint_spectrum(args) -> int:
     return EXIT_OK
 
 
-_ROWS_PER_CHUNK = 1 << 10
+# rows per chunk of `dos` CSV text, under 1 MB at 50 bytes a row
+_ROWS_PER_CHUNK = 1 << 14
+# weights from here to 1 (exclusive) print as 0.ddd, the form `_weight_digits`
+# writes; 10^-j rounds up to these doubles, so each is the first weight with
+# j - 1 zeros after the point
+_FIXED_POINT_FROM = (1e-4, 1e-3, 1e-2, 1e-1)
+
+
+@functools.cache  # built on first use, not at import, which every command pays for
+def _weight_tables():
+    """Lookup tables of `_weight_digits`.
+
+    `groups` holds the four ASCII digits of 0..9999 as one uint32 each,
+    followed by the same with trailing '0's turned to NUL; `leads` holds
+    NUL NUL NUL and one digit.  `scale` is 10^p for p = 17..20 (exact below
+    10^23) and `scale_hi + scale_lo` its Veltkamp split.
+    """
+    quads = [b"%04d" % i for i in range(10_000)]
+    groups = b"".join(quads) + b"".join(q.rstrip(b"0").ljust(4, b"\0") for q in quads)
+    leads = b"".join(b"\0\0\0%d" % i for i in range(10))
+    scale = np.array([float(10**p) for p in range(17, 21)])
+    chopped = scale * 134217729.0  # 2^27 + 1
+    scale_hi = chopped - (chopped - scale)
+    return (np.frombuffer(groups, np.uint32), np.frombuffer(leads, np.uint32),
+            scale, scale_hi, scale - scale_hi)
+
+
+def _weight_digits(x):
+    """`format(w, ".17g")` of each double w in x, all in [1e-4, 1), as digit bytes.
+
+    Returns (zeros, digits): w prints as "0.", then zeros[i] '0's, then the
+    digits of row i of the (n, 5) uint32 array `digits`, read as 20 bytes
+    with its NUL bytes left out.  Those are the 17 digits of D = w * 10^p
+    rounded half to even, as Python rounds, with p = 17 + zeros and trailing
+    '0's dropped.  Dekker's product splits w * 10^p exactly into the double
+    hi, an even integer above 2^53, and the double lo.  A double below 10^-j
+    is more than 5e-17 of it away, relatively, so D never rounds up to 10^17.
+    """
+    groups, leads, scale, scale_hi, scale_lo = _weight_tables()
+    zeros = 3 - np.searchsorted(_FIXED_POINT_FROM[1:], x, side="right")
+    hi = x * scale[zeros]
+    chopped = x * 134217729.0
+    x_hi = chopped - (chopped - x)
+    x_lo = x - x_hi
+    ten_hi, ten_lo = scale_hi[zeros], scale_lo[zeros]
+    lo = ((x_hi * ten_hi - hi) + x_hi * ten_lo + x_lo * ten_hi) + x_lo * ten_lo
+    lead, rest = np.divmod(hi.astype(np.int64) + np.rint(lo).astype(np.int64), 10**16)
+    digits = np.empty((len(x), 5), np.uint32)
+    digits[:, 0] = leads[lead]
+    tail = np.ones(len(x), bool)  # no nonzero digit right of this group
+    for col, unit in ((4, 1), (3, 10**4), (2, 10**8), (1, 10**12)):
+        quad = rest // unit % 10_000
+        digits[:, col] = groups[quad + 10_000 * tail]
+        tail &= quad == 0
+    return zeros, digits
+
+
+def _weight_lines(cells, which, weights) -> str:
+    """CSV lines "<cells[which[i]]>,<weights[i] to 17 digits>", for ascending weights.
+
+    Weights in [1e-4, 1) go through `_weight_digits`; the others, at most the
+    first N / 10^4 rows and the last, through Python's formatting.
+    """
+    start, stop = np.searchsorted(weights, (_FIXED_POINT_FROM[0], 1.0))
+
+    def formatted(rows):
+        return "".join(
+            f"{cells[c]},{w:{_REAL}}\n"
+            for c, w in zip(which[rows].tolist(), weights[rows].tolist())
+        )
+
+    # a line is a row of uint32: "<cell>,0." and the zeros after the point,
+    # NUL-padded to `width` bytes, then the digits, then "\n" and NULs
+    heads = [b"%s,0.%s" % (cell.encode(), b"0" * z) for cell in cells for z in range(4)]
+    width = -(-max(map(len, heads)) // 4) * 4
+    table = np.frombuffer(b"".join(h.ljust(width, b"\0") for h in heads), np.uint32)
+    zeros, digits = _weight_digits(weights[start:stop])
+    rows = np.empty((len(digits), width // 4 + 6), np.uint32)
+    rows[:, :-6] = table.reshape(len(heads), -1)[4 * which[start:stop] + zeros]
+    rows[:, -6:-1] = digits
+    rows[:, -1] = np.frombuffer(b"\n\0\0\0", np.uint32)
+    data = rows.view(np.uint8)
+    text = data[data != 0].tobytes().decode("ascii")
+    return formatted(slice(0, start)) + text + formatted(slice(stop, None))
 
 
 def _dos_rows(ids):
     """CSV lines of the pooled eigenvalues, one per site, in chunks of bounded size.
 
-    Row k (from 1) carries the cumulative weight k/N; the eigenvalue cell of
-    each (value, count) pair is formatted once.
+    Row k (from 1) carries the cumulative weight k/N, printed as
+    `format(k / N, ".17g")` would print it.
     """
     total = ids.site_count
-    done = 0
-    for value, count in zip(ids.values.tolist(), ids.counts.tolist()):
-        line = format(value, _REAL) + ",%.17g\n"
-        for lo in range(done, done + count, _ROWS_PER_CHUNK):
-            hi = min(lo + _ROWS_PER_CHUNK, done + count)
-            yield line * (hi - lo) % tuple((np.arange(lo + 1, hi + 1) / total).tolist())
-        done += count
+    ends = np.cumsum(ids.counts)
+    for lo in range(0, total, _ROWS_PER_CHUNK):
+        k = np.arange(lo + 1, min(lo + _ROWS_PER_CHUNK, total) + 1)
+        which = np.searchsorted(ends, k)  # the (value, count) pair of row k
+        first = int(which[0])
+        cells = [format(v, _REAL) for v in ids.values[first:which[-1] + 1].tolist()]
+        yield _weight_lines(cells, which - first, k / total)
 
 
 def _cmd_dos(args) -> int:

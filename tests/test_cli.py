@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,42 @@ def test_domain_errors_exit_two(capsys):
     assert _run(capsys, "ns", "--mu", "float:0.5", "--depth", "20")[0] == EXIT_DOMAIN
     assert _run(capsys, "char-poly", "--level", "99", "--mu", "float:0")[0] == EXIT_DOMAIN
     assert _run(capsys, "measure", "--mu", "rat:1/0", "--depth", "5")[0] == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("seed, code", [(-1, EXIT_DOMAIN), (2**128, EXIT_DOMAIN),
+                                        (2**128 - 1, EXIT_OK)])
+def test_dos_seed_is_a_philox_key(capsys, seed, code):
+    got, out, err = _run(capsys, "dos", "--mu", "float:0.3", "--sites", "10",
+                         "--seed", str(seed))
+    assert got == code
+    if code == EXIT_DOMAIN:
+        assert out == "" and err.splitlines() == [f"error: seed must be in [0, 2**128), got {seed}"]
+
+
+def test_char_poly_check_fails_on_a_non_finite_error(capsys):
+    # at 1e300 both determinants overflow, and their relative error is NaN
+    argv = ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid", "1e300", "--check")
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_CHECK and out.splitlines()[1].endswith(",inf,inf,nan")
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == EXIT_CHECK and math.isnan(json.loads(out)["max_rel_err"])
+
+
+@pytest.mark.parametrize("level", ["-1", "0"])
+@pytest.mark.parametrize("check", [(), ("--check",)])
+def test_multiplicity_level_below_one_exits_two(capsys, level, check):
+    code, out, err = _run(capsys, "multiplicity", "--level", level, "--mu", "float:0.3",
+                          "--grid", "0", *check)
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: level must be >= 1"]
+
+
+def test_multiplicity_check_refuses_a_level_before_printing(capsys, monkeypatch):
+    monkeypatch.setenv("LLSPEC_NMAX", "3")
+    code, out, err = _run(capsys, "multiplicity", "--level", "4", "--mu", "float:0.3",
+                          "--grid", "0", "--check")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: level 4 exceeds the configured bound 3"]
 
 
 @pytest.mark.parametrize(
