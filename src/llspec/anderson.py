@@ -29,7 +29,7 @@ from numpy.random import Philox
 
 from .errors import DomainError
 from .jacobi import TridiagonalMatrix, tridiag_eigs_batch
-from .measure import AtomicMeasure, _coalesce_tol, measure_cdf_mid, mu_value
+from .measure import AtomicMeasure, coalesce_tol, measure_cdf_mid, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
 _PHILOX_PERIOD_BLOCKS = 2 ** 256
@@ -249,16 +249,16 @@ def line_ids(seed: int, sites: int, mu: float) -> EmpiricalIDS:
 
 
 def default_checkpoints(theoretical: AtomicMeasure) -> np.ndarray:
-    """A grid spanning the spectrum, nudged off the truncated atom positions."""
+    """A grid spanning the spectrum, each point stepped off the atoms `compare_ids` refuses."""
     x = mu_value(theoretical.mu)
     lo = -4.0 - abs(x) - 0.5
     hi = 4.0 + abs(x) + 0.5
     pts = np.linspace(lo, hi, _CHECKPOINTS)
     positions = np.array([a.position for a in theoretical.atoms])
-    guard = 1e-6
-    for i, p in enumerate(pts):
-        while positions.size and np.min(np.abs(positions - pts[i])) < guard:
-            pts[i] += 3 * guard
+    tol = coalesce_tol(x)
+    for i in range(len(pts)):
+        while positions.size and np.min(np.abs(positions - pts[i])) <= tol:
+            pts[i] += 3 * tol  # far above an ulp of pts[i], at any mu
     return pts
 
 
@@ -274,9 +274,9 @@ def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> Compariso
     if checkpoints.size == 0:
         raise DomainError("need at least one checkpoint")
     positions = np.array([a.position for a in theoretical.atoms])
-    coal = _coalesce_tol(mu_value(theoretical.mu))
+    tol = coalesce_tol(mu_value(theoretical.mu))
     for c in checkpoints:
-        if positions.size and np.min(np.abs(positions - c)) < coal:
+        if positions.size and np.min(np.abs(positions - c)) <= tol:
             raise DomainError(f"checkpoint {c} sits on an atom position")
     if isinstance(empirical, AtomicMeasure):
         emp_cdf = [measure_cdf_mid(empirical, c) for c in checkpoints]

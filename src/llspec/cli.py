@@ -11,15 +11,17 @@ The parameter is passed as a tagged string ("float:0.3", "rat:7/6",
 "b1:p/q:n", "b2:j/k") so exact forms survive the CLI boundary; bare numbers
 are accepted as floats and bare p/q as rationals.  Reals are printed with 17
 significant digits, rationals as "p/q".  With --check, every command but
-spectrum exits 3 when its acceptance threshold is breached (override via
---tol, which joint-spectrum lacks); domain and capacity errors exit 2, and a
-solver that fails to converge exits 4.  The level cap honors the LLSPEC_NMAX
-environment variable.
+spectrum exits 3 when its acceptance bound is breached; --tol sets that bound
+and nothing else (measure, multiplicity and joint-spectrum have none: they
+decide by exact masses and `measure.coalesce_tol`).  Domain and capacity
+errors and an --out path that cannot be opened exit 2, and a solver that
+fails to converge exits 4.  The level cap honors the LLSPEC_NMAX variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -81,13 +83,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _write_text(out_path: str | None, chunks):
-    """Write an iterable of text chunks to `out_path`, or to stdout when it is None."""
-    if out_path is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.writelines(chunks)
+def _open_out(path: str | None):
+    """The stream a command writes to: stdout, or `path`, opened before the command runs."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot open --out {path!r}: {exc.strerror}") from None
 
 
 def _csv_rows(rows):
@@ -107,9 +110,9 @@ def _json_text(payload) -> str:
 def _emit(args, header, lines, payload):
     """The JSON payload, or the CSV header followed by `lines` (chunks of whole lines)."""
     if args.format == "json":
-        _write_text(args.out, [_json_text(payload)])
+        args.stream.write(_json_text(payload))
     else:
-        _write_text(args.out, itertools.chain([",".join(header) + "\n"], lines))
+        args.stream.writelines(itertools.chain([",".join(header) + "\n"], lines))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +148,7 @@ def _cmd_char_poly(args) -> int:
     }
     _emit(args, ("lam", "phi_det", "phi_factorized", "rel_err"), _csv_rows(rows), payload)
     if args.check:
-        bound = args.tol if args.tol is not None else 1e-8
-        if not worst <= bound:  # a sign mismatch is inf, and NaN fails too
+        if not worst <= args.tol:  # a sign mismatch is inf, and NaN fails too
             return EXIT_CHECK
     return EXIT_OK
 
@@ -161,8 +163,7 @@ def _cmd_eigs(args) -> int:
     payload = {"mu": args.mu, "level": args.level, "eigenvalues": [float(v) for v in eigs]}
     _emit(args, ("index", "eigenvalue"), _csv_rows(rows), payload)
     if args.check:
-        tol = args.tol if args.tol is not None else 1e-8
-        if len(eigs) != 1 << args.level or np.min(np.abs(eigs - (4.0 - mu))) > tol:
+        if len(eigs) != 1 << args.level or np.min(np.abs(eigs - (4.0 - mu))) > args.tol:
             return EXIT_CHECK
     return EXIT_OK
 
@@ -173,12 +174,11 @@ def _cmd_zeros(args) -> int:
         raise DomainError("depth must be >= 1")
     rows = []
     ok = True
-    tol_scale = args.tol if args.tol is not None else 1e-8
     for k in range(1, args.depth + 1):
         zs = ghpolys.g_zeros(k, mu)
         for j, z in enumerate(zs):
             value, scale = ghpolys.g_value_with_scale(k, float(z), mu)
-            bound = tol_scale * (k + 1) * max(1.0, abs(mu))
+            bound = args.tol * (k + 1) * max(1.0, abs(mu))
             in_band = -4.0 - mu <= z <= 4.0 - mu
             if in_band:
                 ok = ok and abs(value) <= bound
@@ -234,7 +234,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_measure(args) -> int:
     mu = measure.parse_mu(args.mu)
-    trunc = measure.measure_truncation(mu, args.depth, tol=args.tol)
+    trunc = measure.measure_truncation(mu, args.depth)
     payload = measure.measure_to_json(trunc)
     rows = [
         ("atom", a.position, f"{a.mass.numerator}/{a.mass.denominator}",
@@ -255,9 +255,11 @@ def _cmd_multiplicity(args) -> int:
 
     mu = measure.parse_mu(args.mu)
     grid = _parse_grid(args.grid)
-    # below, a DomainError of multiplicity_in_phi means "not a root"
+    # below, a DomainError of multiplicity_in_phi means "not a root", so the
+    # level and the same-point tolerance at mu are checked here
     if args.level < 1:
         raise DomainError("level must be >= 1")
+    tol = measure.coalesce_tol(measure.mu_value(mu))
     if args.check:
         eigs = lamplighter.dense_eigs(
             lamplighter.pencil_matrix(lamplighter.build_level(args.level),
@@ -266,7 +268,7 @@ def _cmd_multiplicity(args) -> int:
     rows = []
     for lam in grid:
         try:
-            mult = measure.multiplicity_in_phi(args.level, lam, mu, tol=args.tol)
+            mult = measure.multiplicity_in_phi(args.level, lam, mu)
             rows.append((lam, mult, 1))
         except DomainError:
             rows.append((lam, 0, 0))
@@ -277,9 +279,8 @@ def _cmd_multiplicity(args) -> int:
     }
     _emit(args, ("lam", "multiplicity", "is_root"), _csv_rows(rows), payload)
     if args.check:
-        for lam, mult, is_root in rows:
-            cluster = int(np.sum(np.abs(eigs - lam) <= 1e-7))
-            if cluster != mult:
+        for lam, mult, _ in rows:
+            if int(np.sum(np.abs(eigs - lam) <= tol)) != mult:
                 return EXIT_CHECK
     return EXIT_OK
 
@@ -291,21 +292,18 @@ def _cmd_joint_spectrum(args) -> int:
     ok = True
     for mu in _parse_grid(args.grid):
         onset = jacobi.critical_index(mu) if abs(mu) > 1 else None
+        tol = measure.coalesce_tol(mu)
         for k in range(1, args.depth + 1):
             zs = ghpolys.g_zeros(k, mu)
-            outliers = 0
-            for z in zs:
-                inside = abs(z + mu) <= 4.0 + 1e-10
-                if not inside:
-                    outliers += 1
-                rows.append((mu, k, float(z), int(inside)))
+            beyond = np.abs(zs + mu) - 4.0  # distance outside the band [-4 - mu, 4 - mu]
+            inside = beyond <= tol
+            rows.extend((mu, k, float(z), int(i)) for z, i in zip(zs, inside))
             if args.check:
-                expected = 1 if (onset is not None and k >= onset) else 0
-                # at the exact onset the zero may sit on the strip boundary
-                boundary = onset is not None and k >= onset and outliers == 0 and any(
-                    abs(abs(z + mu) - 4.0) <= 1e-7 for z in zs
-                )
-                if outliers != expected and not boundary:
+                expected = int(onset is not None and k >= onset)
+                outliers = int(np.sum(~inside))
+                # at the exact onset the outlier may sit on the band edge, inside by the rule
+                on_edge = outliers == 0 and bool(np.any(np.abs(beyond) <= tol))
+                if outliers != expected and not (expected == 1 and on_edge):
                     ok = False
     payload = {
         "depth": args.depth,
@@ -442,8 +440,7 @@ def _cmd_dos(args) -> int:
     }
     _emit(args, ("eigenvalue", "cumulative_weight"), _dos_rows(ids), payload)
     if args.check:
-        bound = args.tol if args.tol is not None else 0.02
-        if report.sup_deviation >= bound:
+        if report.sup_deviation >= args.tol:
             return EXIT_CHECK
     return EXIT_OK
 
@@ -475,7 +472,7 @@ def _cmd_ns(args) -> int:
     _emit(args, ("m", "x_m", "gap", "log2_gap"), _csv_rows(rows), payload)
     if args.check:
         muf = float(mu)
-        rate_ok = abs(rate * muf * muf - 1.0) <= (args.tol if args.tol is not None else 0.02)
+        rate_ok = abs(rate * muf * muf - 1.0) <= args.tol
         ns_ok = abs(inv.empirical / inv.closed_form - 1.0) <= 0.05
         if not (rate_ok and ns_ok):
             return EXIT_CHECK
@@ -488,7 +485,8 @@ def _cmd_ns(args) -> int:
 
 
 def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False,
-                sites=False, check=True, tol=True):
+                sites=False, check=True, tol=None):
+    """Flags shared by the commands; `tol` is the default --check bound, None for no --tol."""
     if mu:
         sub.add_argument("--mu", required=True, help="parameter, e.g. float:0.3 or rat:7/6")
     if level:
@@ -511,9 +509,9 @@ def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if check:
         sub.add_argument("--check", action="store_true", help="exit 3 if the acceptance bound fails")
-    if tol:
-        sub.add_argument("--tol", type=_tolerance, default=None,
-                         help="tolerance / check-bound override (finite, >= 0)")
+    if tol is not None:
+        sub.add_argument("--tol", type=_tolerance, default=tol,
+                         help=f"--check bound (default {tol:g}; finite, >= 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,19 +522,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("char-poly", help="determinant vs factored closed form on a grid")
-    _add_common(sub, mu=True, level=True, grid="-6:6:25")
+    _add_common(sub, mu=True, level=True, grid="-6:6:25", tol=1e-8)
     sub.set_defaults(func=_cmd_char_poly)
 
     sub = subs.add_parser("eigs", help="dense eigenvalues of the level matrix")
-    _add_common(sub, mu=True, level=True)
+    _add_common(sub, mu=True, level=True, tol=1e-8)
     sub.set_defaults(func=_cmd_eigs)
 
     sub = subs.add_parser("zeros", help="zeros of the level polynomials up to a depth")
-    _add_common(sub, mu=True, depth=12)
+    _add_common(sub, mu=True, depth=12, tol=1e-8)
     sub.set_defaults(func=_cmd_zeros)
 
     sub = subs.add_parser("spectrum", help="band, accumulation point and isolated mass")
-    _add_common(sub, mu=True, check=False, tol=False)
+    _add_common(sub, mu=True, check=False)
     sub.set_defaults(func=_cmd_spectrum)
 
     sub = subs.add_parser("measure", help="truncated atomic spectral measure")
@@ -548,15 +546,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_multiplicity)
 
     sub = subs.add_parser("joint-spectrum", help="zero chart over a parameter grid")
-    _add_common(sub, depth=8, grid="-3:3:25", tol=False)
+    _add_common(sub, depth=8, grid="-3:3:25")
     sub.set_defaults(func=_cmd_joint_spectrum)
 
     sub = subs.add_parser("dos", help="empirical density of states vs the measure")
-    _add_common(sub, mu=True, depth=12, seed=True, sites=True)
+    _add_common(sub, mu=True, depth=12, seed=True, sites=True, tol=0.02)
     sub.set_defaults(func=_cmd_dos)
 
     sub = subs.add_parser("ns", help="gap decay and spectral power-law exponent")
-    _add_common(sub, mu=True, depth=60)
+    _add_common(sub, mu=True, depth=60, tol=0.02)
     sub.set_defaults(func=_cmd_ns)
 
     return parser
@@ -567,7 +565,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _open_out(args.out) as args.stream:
+            return args.func(args)
     except (DomainError, CapacityError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

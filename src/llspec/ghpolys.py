@@ -47,7 +47,10 @@ def _g_terms(k: int, lam: float, mu: float) -> tuple[float, float, int]:
     """
     if k < 1:
         raise DomainError("index k must be >= 1")
-    prev, cur, e = u_pair_scaled(k, (-lam - mu) / 4.0)
+    s = (-lam - mu) / 4.0
+    if not math.isfinite(s):  # -lam - mu overflows, and the recurrence would give NaN
+        raise DomainError(f"(-lam - mu) / 4 is not finite at lam={lam!r}, mu={mu!r}")
+    prev, cur, e = u_pair_scaled(k, s)
     return cur, mu * prev, e
 
 

@@ -33,6 +33,9 @@ from .errors import CapacityError, ConvergenceError, DomainError
 from .ghpolys import g_signlog
 
 _N_MAX_DEFAULT = 12
+# cyclic sweeps `dense_eigs` may run, and its stopping threshold relative to ||M||_F
+_SWEEP_LIMIT = 50
+_TOL_FACTOR = 1e-12
 
 
 def level_cap() -> int:
@@ -166,16 +169,15 @@ def phi_factorized(n: int, lam: float, mu: float) -> float:
     return _signlog_float(*phi_factorized_signlog(n, lam, mu))
 
 
-def dense_eigs(
-    m: PencilMatrix, sweep_limit: int = 50, tol_factor: float = 1e-12
-) -> np.ndarray:
+def dense_eigs(m: PencilMatrix) -> np.ndarray:
     """All eigenvalues of the pencil matrix by cyclic Jacobi rotations.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    tol_factor * ||M||_F.  Rotations are plain plane rotations on a private
-    copy; no deflation heuristics are needed even though eigenvalue clusters
-    carry multiplicities of order 2^(n-2).  Exactly symmetric input stays so,
-    which lets a rotation update rows p and q once and copy them into columns.
+    At most _SWEEP_LIMIT sweeps run, until the off-diagonal Frobenius norm
+    drops below _TOL_FACTOR * ||M||_F.  Rotations are plain plane rotations on
+    a private copy; no deflation heuristics are needed even though eigenvalue
+    clusters carry multiplicities of order 2^(n-2).  Exactly symmetric input
+    stays so, which lets a rotation update rows p and q once and copy them
+    into columns.
     """
     a = np.array(m.entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
@@ -190,13 +192,13 @@ def dense_eigs(
         return a[0].copy()
     if fro == 0.0:
         return np.zeros(n)
-    thresh = tol_factor * fro
+    thresh = _TOL_FACTOR * fro
     skip = thresh / (2.0 * n)
 
     def offnorm():
         return math.sqrt(max((a * a).sum() - (np.diag(a) ** 2).sum(), 0.0))
 
-    for _ in range(sweep_limit):
+    for _ in range(_SWEEP_LIMIT):
         if offnorm() <= thresh:
             return np.sort(np.diag(a))
         rotated = False

@@ -55,6 +55,7 @@ __all__ = [
     "format_mu",
     "MuClassification",
     "classify_mu",
+    "coalesce_tol",
     "Atom",
     "AtomicMeasure",
     "measure_truncation",
@@ -237,8 +238,16 @@ class MuClassification:
     b3_witness: int | None  # k with mu = 1 + 1/k
 
 
-def _coalesce_tol(x: float) -> float:
-    return 1e-9 * (abs(4.0 - x) + abs(4.0 + x))
+def coalesce_tol(mu: float) -> float:
+    """Positions a, b at parameter mu are one point when |a - b| <= coalesce_tol(mu).
+
+    The package's only same-point rule: a billionth of the spectrum's scale,
+    which overflows, and is refused, once |mu| reaches half the largest double.
+    """
+    tol = 1e-9 * (abs(4.0 - mu) + abs(4.0 + mu))
+    if not math.isfinite(tol):
+        raise DomainError(f"no same-point tolerance at mu={mu!r}: |4 - mu| + |4 + mu| overflows")
+    return tol
 
 
 def _group_zeros(x: float, kmax: int, tol: float):
@@ -377,7 +386,7 @@ def classify_mu(mu: MuParam) -> MuClassification:
     else:
         collisions = [
             (pos, ks)
-            for pos, ks in _group_zeros(x, _SCAN_DEPTH, _coalesce_tol(x))
+            for pos, ks in _group_zeros(x, _SCAN_DEPTH, coalesce_tol(x))
             if len(ks) >= 2
         ]
         witnesses = []
@@ -433,7 +442,7 @@ class AtomicMeasure:
         return sum((a.mass for a in self.atoms), Fraction(0)) + self.tail_mass
 
     def atom_near(self, position: float) -> Atom:
-        tol = _coalesce_tol(mu_value(self.mu))
+        tol = coalesce_tol(mu_value(self.mu))
         for atom in self.atoms:
             if abs(atom.position - position) <= tol:
                 return atom
@@ -447,28 +456,28 @@ def tail_mass(depth: int) -> Fraction:
     return Fraction(depth + 2, 2 ** (depth + 1))
 
 
-def measure_truncation(mu: MuParam, depth: int, tol: float | None = None) -> AtomicMeasure:
+def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     """Depth-K truncation of the spectral measure with exact rational masses.
 
     Collects the zeros of G_1..G_K with mass 2^-(k+1) each, coalescing
-    positions within the tolerance.  In-band collisions are exact algebraic
-    coincidences, so any tolerance well above eigenvalue accuracy and well
-    below the zero spacing draws the same groups there.  For |mu| > 1 the
-    out-of-band zeros of consecutive polynomials approach the accumulation
-    point geometrically (roughly mu^-2k), so at depths where their spacing
-    falls under the tolerance they merge into one reported atom; total mass
-    stays exact either way.
+    positions that `coalesce_tol` calls one point.  In-band collisions are
+    exact algebraic coincidences, so a tolerance well above eigenvalue
+    accuracy and well below the zero spacing draws the same groups there.
+    For |mu| > 1 the out-of-band zeros of consecutive polynomials approach
+    the accumulation point geometrically (roughly mu^-2k), so at depths
+    where their spacing falls under the tolerance they merge into one
+    reported atom; total mass stays exact either way.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
     x = mu_value(mu)
-    coal = _coalesce_tol(x) if tol is None else tol
+    tol = coalesce_tol(x)
     atoms = []
-    for pos, ks in _group_zeros(x, depth, coal):
+    for pos, ks in _group_zeros(x, depth, tol):
         mass = sum((Fraction(1, 2 ** (k + 1)) for k in ks), Fraction(0))
-        if abs(pos - x) <= coal:
+        if abs(pos - x) <= tol:
             kind = "delta_mu" if len(ks) == 1 else "B2_merged"
-        elif abs(pos - (4.0 - x)) <= coal:
+        elif abs(pos - (4.0 - x)) <= tol:
             kind = "B3_endpoint"
         elif len(ks) > 1:
             kind = "B1_merged"
@@ -531,27 +540,25 @@ def atom_mass_exact(mu: MuParam, atom_class: str, **params) -> Fraction:
     raise DomainError(f"unknown atom class {atom_class!r}")
 
 
-def multiplicity_in_phi(n: int, lam: float, mu: MuParam, tol: float | None = None) -> int:
+def multiplicity_in_phi(n: int, lam: float, mu: MuParam) -> int:
     """Multiplicity of lam as a root of the level-n determinant.
 
     The factorization gives exponent 2^(n-1-k) to a zero of G_k for k < n,
     exponent 1 for k = n, plus 1 if lam is the root 4 - mu of the leading
     factor; collisions simply add exponents.  Contributing indices are found
-    by matching lam against each zero set, which realizes the same case rules
-    as the exceptional-set classification and is directly checkable against
-    the dense eigensolver.
+    by matching lam against each zero set (and against 4 - mu) with
+    `coalesce_tol`, which realizes the same case rules as the exceptional-set
+    classification and is directly checkable against the dense eigensolver.
     """
     if n < 1:
         raise DomainError("level must be >= 1")
     x = mu_value(mu)
-    pos_tol = _coalesce_tol(x) * 100.0 if tol is None else tol
-    contributing = [
-        k for k in range(1, n + 1) if np.min(np.abs(g_zeros(k, x) - lam)) <= pos_tol
-    ]
+    tol = coalesce_tol(x)
+    contributing = [k for k in range(1, n + 1) if np.min(np.abs(g_zeros(k, x) - lam)) <= tol]
     mult = sum(1 << (n - 1 - k) for k in contributing if k < n)
     if n in contributing:
         mult += 1
-    if abs(lam - (4.0 - x)) <= pos_tol:
+    if abs(lam - (4.0 - x)) <= tol:
         mult += 1
     if mult == 0:
         raise DomainError(f"{lam} is not a root of the level-{n} determinant")

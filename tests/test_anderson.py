@@ -155,6 +155,18 @@ def test_compare_ids_rejects_checkpoints_on_atoms():
         compare_ids(trunc, trunc, [0.0])
 
 
+@given(st.floats(-3.0, 300.0), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_default_checkpoints_are_accepted_by_compare_ids(log_mu, negative):
+    # both sides ask `coalesce_tol` whether a point sits on an atom, so they
+    # agree at every scale, and each nudge is large enough to move the point
+    mu = -(10.0**log_mu) if negative else 10.0**log_mu
+    trunc = measure_truncation(FloatMu(mu), 8)
+    checkpoints = default_checkpoints(trunc)
+    assert np.isfinite(checkpoints).all()
+    assert compare_ids(trunc, trunc, checkpoints).sup_deviation == 0.0
+
+
 def test_spectrum_gap_contains_only_outlier_atoms():
     mu = 2.0
     ids = empirical_ids([build_jacobi_sample(sample_window(99, 0, 30000), mu)])

@@ -108,6 +108,15 @@ def test_multiplicity_rows_and_check(capsys):
     assert payload["rows"][0]["multiplicity"] == 17
 
 
+def test_multiplicity_and_its_check_share_the_same_point_rule(capsys):
+    # 5e-7 from a zero of G_2, far beyond `coalesce_tol` (8e-9), so neither
+    # the zero sets nor the dense eigenvalues count it as a root
+    code, out, _ = _run(capsys, "multiplicity", "--level", "4", "--mu", "float:0.3",
+                        "--grid=-2.0223743416156683", "--check")
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "-2.0223743416156683,0,0"
+
+
 def test_joint_spectrum_check(capsys):
     grid = ",".join(str(1.0 + 1.0 / n) for n in range(2, 7)) + ",0.5"
     code, out, _ = _run(
@@ -198,6 +207,68 @@ def test_dos_output_bytes_are_pinned_across_parameters(capsys, mu, fmt):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == _DOS_DIGESTS[mu, fmt]
+
+
+@pytest.mark.parametrize("mu", ["float:1e10", "float:1e20", "float:1e300"])
+def test_dos_check_at_large_mu_finishes(mu):
+    # every checkpoint must step off the atoms, whose scale grows with mu
+    src = str(Path(llspec.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "llspec.cli", "dos", "--mu", mu, "--sites", "10000",
+         "--format", "json", "--check"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(json.loads(proc.stdout)["checkpoints"]) == 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dos", "--mu", "float:1e308", "--sites", "10000", "--format", "json", "--check"),
+        ("measure", "--mu", "float:-1e308", "--depth", "4"),
+        ("multiplicity", "--level", "3", "--mu", "float:1e308", "--grid", "0"),
+        ("joint-spectrum", "--depth", "2", "--grid", "1e308"),
+    ],
+)
+def test_mu_beyond_the_same_point_rule_exits_two(capsys, recwarn, argv):
+    # |4 - mu| + |4 + mu| overflows, so every position would be one point,
+    # and the dos checkpoint grid [-4.5 - |mu|, 4.5 + |mu|] would hold NaN
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: no same-point tolerance")
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", "--mu", "float:1e308", "--depth", "3"),
+        ("char-poly", "--level", "2", "--mu", "float:1e308", "--grid=1e308"),
+    ],
+)
+def test_overflowing_polynomial_argument_exits_two(capsys, argv):
+    # -lam - mu overflows at lam = mu = 1e308, which used to print NaN
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: (-lam - mu) / 4 is not finite at lam=1e+308, mu=1e+308"]
+
+
+def test_out_that_cannot_be_opened_exits_two_before_the_work(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, "spectrum", "--mu", "float:0.3", "--out", str(missing))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == [
+        f"error: cannot open --out {str(missing)!r}: No such file or directory"
+    ]
+
+    def walked(*args):
+        raise AssertionError("the line was walked before --out was opened")
+
+    monkeypatch.setattr(anderson, "line_ids", walked)
+    code, out, err = _run(capsys, "dos", "--mu", "float:0.3", "--out", str(tmp_path))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == [f"error: cannot open --out {str(tmp_path)!r}: Is a directory"]
 
 
 def _peak_rss_mb(argv) -> float:
@@ -432,8 +503,6 @@ _CHECKED = {
     "char-poly": ("char-poly", "--level", "2", "--mu", "rat:0/1", "--grid", "0,1,3"),
     "eigs": ("eigs", "--level", "2", "--mu", "float:0.3"),
     "zeros": ("zeros", "--mu", "float:0.3", "--depth", "3"),
-    "measure": ("measure", "--mu", "rat:0/1", "--depth", "5"),
-    "multiplicity": ("multiplicity", "--level", "2", "--mu", "rat:0/1", "--grid", "0"),
     "dos": ("dos", "--mu", "float:0.3", "--sites", "2000", "--depth", "8"),
     "ns": ("ns", "--mu", "float:2", "--depth", "8"),
 }
@@ -449,9 +518,9 @@ def test_bad_tolerance_exits_two_at_parse_time(capsys, command, tol):
     assert captured.out == "" and "argument --tol" in captured.err
 
 
-@pytest.mark.parametrize("command", ["char-poly", "measure"])
+@pytest.mark.parametrize("command", ["char-poly"])
 def test_zero_tolerance_is_allowed(capsys, command):
-    # both outputs are exact: the level-2 determinant at mu = 0, and rational masses
+    # the output is exact: the level-2 determinant at mu = 0
     assert _run(capsys, *_CHECKED[command], "--check", "--tol", "0")[0] == EXIT_OK
 
 
@@ -462,6 +531,11 @@ def test_zero_tolerance_is_allowed(capsys, command):
         ("spectrum", "--mu", "float:0.3", "--check", "--tol", "5"),
         ("spectrum", "--mu", "float:0.3", "--tol", "5"),
         ("joint-spectrum", "--depth", "3", "--grid", "0", "--tol", "5"),
+        # these decide by `coalesce_tol` and exact masses, so there is no bound to set
+        pytest.param(("measure", "--mu", "rat:0/1", "--depth", "5", "--check", "--tol", "0"),
+                     id="measure-tol"),
+        pytest.param(("multiplicity", "--level", "2", "--mu", "rat:0/1", "--grid", "0",
+                      "--check", "--tol", "1e-7"), id="multiplicity-tol"),
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
