@@ -505,7 +505,11 @@ _CHECKED = {
     "zeros": ("zeros", "--mu", "float:0.3", "--depth", "3"),
     "dos": ("dos", "--mu", "float:0.3", "--sites", "2000", "--depth", "8"),
     "ns": ("ns", "--mu", "float:2", "--depth", "8"),
+    # these decide by `coalesce_tol` and exact masses, so they take no --tol
+    "measure": ("measure", "--mu", "rat:0/1", "--depth", "5"),
+    "multiplicity": ("multiplicity", "--level", "2", "--mu", "rat:0/1", "--grid", "0"),
 }
+_NO_TOL = {"measure", "multiplicity"}
 
 
 @pytest.mark.parametrize("command", sorted(_CHECKED))
@@ -515,7 +519,8 @@ def test_bad_tolerance_exits_two_at_parse_time(capsys, command, tol):
         main([*_CHECKED[command], "--check", "--tol", tol])
     assert exc.value.code == EXIT_DOMAIN
     captured = capsys.readouterr()
-    assert captured.out == "" and "argument --tol" in captured.err
+    reason = "unrecognized arguments: --tol" if command in _NO_TOL else "argument --tol"
+    assert captured.out == "" and reason in captured.err
 
 
 @pytest.mark.parametrize("command", ["char-poly"])
