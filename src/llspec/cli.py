@@ -28,11 +28,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
-# every command parses --mu through measure; the other layers are imported by
-# the commands that call them, so a command loads only the modules it runs
-from . import ghpolys, jacobi, measure
+# every command parses --mu through measure; numpy and the other layers are
+# imported by the commands that call them, so a command loads only the modules
+# it runs, and `spectrum`, `ns`, --help and argument errors never load numpy
+from . import measure
 from .errors import CapacityError, ConvergenceError, DomainError, InsufficientDataError
 
 EXIT_OK = 0
@@ -51,6 +50,8 @@ def _fmt(x) -> str:
 
 def _parse_grid(spec: str) -> list[float]:
     """Either "lo:hi:count" (inclusive linspace) or a comma list; every value finite."""
+    import numpy as np
+
     try:
         if ":" not in spec:
             values = [float(v) for v in spec.split(",") if v.strip()]
@@ -121,6 +122,8 @@ def _emit(args, header, lines, payload):
 
 
 def _cmd_char_poly(args) -> int:
+    import numpy as np
+
     from . import lamplighter
 
     mu = measure.mu_value(measure.parse_mu(args.mu))
@@ -154,6 +157,8 @@ def _cmd_char_poly(args) -> int:
 
 
 def _cmd_eigs(args) -> int:
+    import numpy as np
+
     from . import lamplighter
 
     mu = measure.mu_value(measure.parse_mu(args.mu))
@@ -169,6 +174,8 @@ def _cmd_eigs(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    from . import ghpolys
+
     mu = measure.mu_value(measure.parse_mu(args.mu))
     if args.depth < 1:
         raise DomainError("depth must be >= 1")
@@ -197,6 +204,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import jacobi
+
     mu = measure.mu_value(measure.parse_mu(args.mu))
     pencil = jacobi.pencil_spectrum(mu)
     jstar = jacobi.jstar_spectrum(mu)
@@ -251,6 +260,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
+    import numpy as np
+
     from . import lamplighter
 
     mu = measure.parse_mu(args.mu)
@@ -286,6 +297,10 @@ def _cmd_multiplicity(args) -> int:
 
 
 def _cmd_joint_spectrum(args) -> int:
+    import numpy as np
+
+    from . import ghpolys, jacobi
+
     if args.depth < 1:
         raise DomainError("depth must be >= 1")
     rows = []
@@ -332,6 +347,8 @@ def _weight_tables():
     NUL NUL NUL and one digit.  `scale` is 10^p for p = 17..20 (exact below
     10^23) and `scale_hi + scale_lo` its Veltkamp split.
     """
+    import numpy as np
+
     quads = [b"%04d" % i for i in range(10_000)]
     groups = b"".join(quads) + b"".join(q.rstrip(b"0").ljust(4, b"\0") for q in quads)
     leads = b"".join(b"\0\0\0%d" % i for i in range(10))
@@ -353,6 +370,8 @@ def _weight_digits(x):
     hi, an even integer above 2^53, and the double lo.  A double below 10^-j
     is more than 5e-17 of it away, relatively, so D never rounds up to 10^17.
     """
+    import numpy as np
+
     groups, leads, scale, scale_hi, scale_lo = _weight_tables()
     zeros = 3 - np.searchsorted(_FIXED_POINT_FROM[1:], x, side="right")
     hi = x * scale[zeros]
@@ -378,6 +397,8 @@ def _weight_lines(cells, which, weights) -> str:
     Weights in [1e-4, 1) go through `_weight_digits`; the others, at most the
     first N / 10^4 rows and the last, through Python's formatting.
     """
+    import numpy as np
+
     start, stop = np.searchsorted(weights, (_FIXED_POINT_FROM[0], 1.0))
 
     def formatted(rows):
@@ -407,6 +428,8 @@ def _dos_rows(ids):
     Row k (from 1) carries the cumulative weight k/N, printed as
     `format(k / N, ".17g")` would print it.
     """
+    import numpy as np
+
     total = ids.site_count
     ends = np.cumsum(ids.counts)
     for lo in range(0, total, _ROWS_PER_CHUNK):

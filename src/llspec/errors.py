@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Requested level exceeds the configured size bound (see LLSPEC_NMAX)."""
+    """Requested level exceeds the configured size bound (see LLSPEC_NMAX) or the memory budget."""
 
 
 class ConvergenceError(RuntimeError):

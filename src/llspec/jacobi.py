@@ -10,6 +10,12 @@ Eigenvalues come from LAPACK (np.linalg.eigvalsh on the dense tridiagonal,
 stacked for batches).  The leading-principal-minor pivot recurrence is kept
 as the one Sturm count: a guaranteed "how many eigenvalues below x" oracle
 for every truncation at once, which the tests check the eigenvalues against.
+
+Only the matrix code (`TridiagonalMatrix`, `jstar_truncation`, the
+eigenvalue kernels and the Sturm count) imports numpy, inside the functions
+that use it; the closed forms (`pencil_spectrum`, `jstar_spectrum`,
+`critical_index`, `m_function`, `ac_density`) are plain Python, so the
+commands that need only them start without numpy.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TINY = 2.2250738585072014e-308  # smallest normal double
 
@@ -34,6 +42,8 @@ class TridiagonalMatrix:
     offdiag: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
         if self.diag.ndim != 1 or self.offdiag.ndim != 1:
@@ -46,6 +56,8 @@ class TridiagonalMatrix:
         return len(self.diag)
 
     def dense(self) -> np.ndarray:
+        import numpy as np
+
         m = np.diag(self.diag)
         if self.n > 1:
             idx = np.arange(self.n - 1)
@@ -77,6 +89,8 @@ def jstar_truncation(mu: float, n: int) -> TridiagonalMatrix:
     """The n x n leading truncation of J*(mu)."""
     if n < 1:
         raise DomainError("truncation size must be >= 1")
+    import numpy as np
+
     diag = np.full(n, mu / 2.0)
     diag[0] = -mu / 2.0
     return TridiagonalMatrix(diag=diag, offdiag=np.ones(n - 1))
@@ -93,6 +107,8 @@ def tridiag_eigs_batch(diag2d, off2d) -> np.ndarray:
     Each row is solved on its own, so its result does not depend on which
     other rows share the batch.
     """
+    import numpy as np
+
     diag2d = np.atleast_2d(np.asarray(diag2d, dtype=float))
     off2d = np.atleast_2d(np.asarray(off2d, dtype=float))
     if not (np.isfinite(diag2d).all() and np.isfinite(off2d).all()):
@@ -126,6 +142,8 @@ def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
     pivot recurrence yields all of them, since each truncation shares the
     sequence of leading principal minors.
     """
+    import numpy as np
+
     x = float(x)
     counts = np.empty(t.n, dtype=np.int64)
     d = t.diag[0] - x

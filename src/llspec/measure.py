@@ -37,11 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .chebyshev import u_eval
 from .errors import DomainError
-from .ghpolys import g_zeros
 
 __all__ = [
     "FloatMu",
@@ -256,6 +253,8 @@ def _group_zeros(x: float, kmax: int, tol: float):
     Returns a list of (position, sorted tuple of contributing indices); the
     position is taken from the smallest contributing index.
     """
+    from .ghpolys import g_zeros  # and so numpy: parsing a parameter needs neither
+
     entries = []
     for k in range(1, kmax + 1):
         for z in g_zeros(k, x):
@@ -550,6 +549,10 @@ def multiplicity_in_phi(n: int, lam: float, mu: MuParam) -> int:
     `coalesce_tol`, which realizes the same case rules as the exceptional-set
     classification and is directly checkable against the dense eigensolver.
     """
+    import numpy as np
+
+    from .ghpolys import g_zeros
+
     if n < 1:
         raise DomainError("level must be >= 1")
     x = mu_value(mu)

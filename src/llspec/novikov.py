@@ -16,17 +16,22 @@ truncation's determinant finds x_m in a few steps, and Sturm counts certify
 each result: an eigenvalue lies within a bracket of width mu^(-2m) * 1e-6
 around it, far below the gap.  The working precision also carries
 log10(mu) digits for the size of the eigenvalue itself, and mu is capped at
-1e150, where mu^-2 is still a normal double.
+1e150, where mu^-2 is still a normal double.  A sequence whose estimated
+work (pivot steps weighted by their precision) exceeds `_WORK_MAX` is
+refused before any of it is done.
+
+The two slopes are least-squares fits from the standard library
+(`statistics.linear_regression`), so this module needs no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, InsufficientDataError
 from .jacobi import critical_index
@@ -36,6 +41,13 @@ _LN2 = math.log(2.0)
 # product rate * mu^2 must stay normal doubles, which fails from mu = 2^511
 # (about 6.7e153) on
 _MU_MAX = 1e150
+# largest work a gap sequence may take, in pivot steps at 30 digits: a step at
+# d digits costs about 1 + (d/300)^1.6 of them, flat while interpreter
+# overhead dominates, then growing like products of d-digit integers.  The
+# precision alone does not bound the time: mu near 1 keeps 30 digits at any
+# depth.  The bound is sized so that the slowest sequence it admits takes
+# about 10 s (about 17 us a 30-digit step with mpmath's Python backend).
+_WORK_MAX = 1e5
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,11 @@ def _newton_pass_mp(mmu: mp.mpf, m: int, x: mp.mpf):
     return count, (1 / total if total else None)
 
 
+def _digits(muf: float, m: int) -> int:
+    """mp working precision for x_m: enough to resolve width next to an eigenvalue ~mu/2."""
+    return max(30, int(2 * m * math.log10(muf)) + 25) + max(0, int(math.log10(muf)))
+
+
 def _outlier_zero_mp(mu, m: int) -> GapEntry:
     """The largest zero x_m of G_m and its gap to mu + 2/mu, for mu > 1.
 
@@ -135,8 +152,7 @@ def _outlier_zero_mp(mu, m: int) -> GapEntry:
     certificate, not on the iteration.
     """
     muf = float(mu)
-    # enough digits to resolve width next to an eigenvalue of size ~mu/2
-    digits = max(30, int(2 * m * math.log10(muf)) + 25) + max(0, int(math.log10(muf)))
+    digits = _digits(muf, m)
     with mp.workdps(digits):
         mmu = _to_mpf(mu)
         target = mmu + 2 / mmu
@@ -203,6 +219,16 @@ def gap_sequence(mu, M: int) -> GapSequence:
     start = critical_index(mu if isinstance(mu, Fraction) else muf)
     if M < start + 5:
         raise DomainError(f"need M >= {start + 5} for a usable sequence")
+    work = 0.0
+    for m in range(start, M + 1):  # each term is at least `start`, so this ends early
+        work += m * (1.0 + (_digits(muf, m) / 300.0) ** 1.6)
+        if work > _WORK_MAX:
+            within = f"depth {m - 1} is" if m > start + 5 else "no depth is"
+            raise DomainError(
+                f"gap sequence to depth {M} at mu={muf:g} exceeds the work bound "
+                f"{_WORK_MAX:g} (precision {_digits(muf, M)} digits at m={M}); "
+                f"{within} within it"
+            )
     entries = tuple(_outlier_zero_mp(mu, m) for m in range(start, M + 1))
     return GapSequence(mu=muf, target=muf + 2.0 / muf, entries=entries)
 
@@ -224,10 +250,9 @@ def decay_rate(seq: GapSequence) -> float:
     if len(seq.entries) < 10:
         raise InsufficientDataError("need at least 10 gap entries")
     window = _tail_window(seq.entries)
-    ms = np.array([e.m for e in window], dtype=float)
-    logs = np.array([e.log2_gap * _LN2 for e in window])
-    slope = np.polyfit(ms, logs, 1)[0]
-    return float(math.exp(slope))
+    ms = [e.m for e in window]
+    logs = [e.log2_gap * _LN2 for e in window]
+    return math.exp(statistics.linear_regression(ms, logs).slope)
 
 
 def ns_invariant(mu, M: int = 60, seq: GapSequence | None = None) -> NsInvariant:
@@ -245,7 +270,7 @@ def ns_invariant(mu, M: int = 60, seq: GapSequence | None = None) -> NsInvariant
     if seq is None:
         seq = gap_sequence(mu, M)
     window = _tail_window(seq.entries)
-    xs = np.array([e.log2_gap * _LN2 for e in window])
-    ys = np.array([-e.m * _LN2 for e in window])
-    slope = np.polyfit(xs, ys, 1)[0]
-    return NsInvariant(closed_form=closed, empirical=float(slope))
+    xs = [e.log2_gap * _LN2 for e in window]
+    ys = [-e.m * _LN2 for e in window]
+    return NsInvariant(closed_form=closed,
+                       empirical=statistics.linear_regression(xs, ys).slope)

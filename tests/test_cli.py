@@ -300,6 +300,13 @@ def test_ns_large_mu_is_certified_or_refused(capsys):
     code, out, err = _run(capsys, "ns", "--mu", "float:1e200", "--depth", "10", "--check")
     assert code == EXIT_DOMAIN and out == ""
     assert err.splitlines() == ["error: gap sequence requires mu <= 1e+150, got 1e+200"]
+    # the default depth at 1e150 would run for over a minute; refused before any mp work
+    code, out, err = _run(capsys, "ns", "--mu", "float:1e150", "--check")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == [
+        "error: gap sequence to depth 60 at mu=1e+150 exceeds the work bound 100000 "
+        "(precision 18175 digits at m=60); depth 34 is within it"
+    ]
 
 
 def test_ns_summary(capsys):
@@ -422,6 +429,16 @@ def test_level_cap_env_override(capsys, monkeypatch):
     assert code == EXIT_DOMAIN and "exceeds" in err
     monkeypatch.setenv("LLSPEC_NMAX", "3")
     assert _run(capsys, "eigs", "--level", "3", "--mu", "float:0")[0] == EXIT_OK
+
+
+def test_level_over_the_memory_budget_exits_two(capsys, monkeypatch):
+    # LLSPEC_NMAX lifts the level cap, not the memory budget: level 16 would take 82 GB
+    monkeypatch.setenv("LLSPEC_NMAX", "16")
+    code, out, err = _run(capsys, "eigs", "--level", "16", "--mu", "float:0.3")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == [
+        "error: level 16 needs 19 * 4^16 bytes of dense matrices, over the budget of 2 GiB"
+    ]
 
 
 def test_output_files_are_byte_identical(tmp_path, capsys):

@@ -265,6 +265,22 @@ def test_capacity_honors_env(monkeypatch):
         level_cap()
 
 
+def test_level_over_the_memory_budget_is_refused_before_allocating(monkeypatch):
+    # 19 * 4^n bytes: level 13 (1.3 GB) fits the 2 GiB budget, level 14 (5.1 GB) does not
+    monkeypatch.setenv("LLSPEC_NMAX", str(10**9))
+    lamplighter._check_level(13)
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("a level matrix was allocated")
+
+    monkeypatch.setattr(lamplighter.np, "ones", allocated)
+    for n in (14, 20, 10**9):
+        with pytest.raises(CapacityError, match="budget"):
+            build_level(n)
+        with pytest.raises(CapacityError, match="budget"):
+            phi_det_signlog(n, 0.5, 0.3)
+
+
 def test_factorized_large_level_does_not_overflow(monkeypatch):
     monkeypatch.setenv("LLSPEC_NMAX", "40")
     # exponents reach 2^(n-2); only the log form survives at n = 20

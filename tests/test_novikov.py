@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from llspec import novikov
 from llspec.errors import ConvergenceError, DomainError, InsufficientDataError
+from llspec.jacobi import critical_index
 from llspec.novikov import GapEntry, GapSequence, decay_rate, gap_sequence, ns_invariant
 
 
@@ -61,6 +63,29 @@ def test_synthetic_regression_identity():
     )
     seq = GapSequence(mu=2.0, target=3.0, entries=entries)
     assert decay_rate(seq) == pytest.approx(0.37, rel=1e-12)
+
+
+def test_exact_quarter_gaps_give_slope_minus_two_ln2():
+    # gaps 2^-2m lie on the line log(gap) = -2 ln2 * m, so both fits are exact:
+    # rate exp(-2 ln 2) = 1/4, and mass exponent -m ln 2 over -2m ln 2 is 1/2
+    entries = tuple(
+        GapEntry(m=m, x_m=0.0, gap=2.0 ** (-2 * m), log2_gap=-2.0 * m) for m in range(1, 61)
+    )
+    seq = GapSequence(mu=2.0, target=3.0, entries=entries)
+    assert decay_rate(seq) == 0.25
+    assert math.log(decay_rate(seq)) == -2.0 * math.log(2.0)
+    assert ns_invariant(2.0, seq=seq).empirical == 0.5
+
+
+def test_fits_match_numpy_polyfit():
+    # the least-squares slopes agree with numpy's to rounding, on a real sequence
+    seq = gap_sequence(2.0, 60)
+    window = novikov._tail_window(seq.entries)
+    ms = np.array([e.m for e in window], dtype=float)
+    logs = np.array([e.log2_gap * math.log(2.0) for e in window])
+    assert decay_rate(seq) == pytest.approx(math.exp(np.polyfit(ms, logs, 1)[0]), rel=1e-12)
+    empirical = np.polyfit(logs, -ms * math.log(2.0), 1)[0]
+    assert ns_invariant(2.0, 60, seq=seq).empirical == pytest.approx(empirical, rel=1e-12)
 
 
 def test_decay_rate_matches_parameter():
@@ -142,6 +167,32 @@ def test_each_zero_passes_the_sturm_certificate(mu, depth):
             assert novikov._count_below_mp(mmu, e.m, eig - width / 2) == 0
             assert novikov._count_below_mp(mmu, e.m, eig + width / 2) >= 1
         assert e.x_m == pytest.approx(float(mu) + 2 / float(mu) - e.gap, rel=1e-15)
+
+
+def test_work_bound_refuses_before_any_mp_work(monkeypatch):
+    solved = []
+
+    def stub(mu, m):
+        solved.append(m)
+        return GapEntry(m=m, x_m=0.0, gap=1.0, log2_gap=0.0)
+
+    monkeypatch.setattr(novikov, "_outlier_zero_mp", stub)
+    # the deepest sequences within the bound, each about 3 to 9 s when solved,
+    # then one level deeper: many short recurrences, long recurrences at 30
+    # digits, and few recurrences at thousands of digits
+    for mu, depth in ((2.0, 372), (1.001, 1092), (1.0001, 10008), (1e150, 34)):
+        start = critical_index(mu)
+        assert [e.m for e in gap_sequence(mu, depth).entries] == list(range(start, depth + 1))
+        del solved[:]
+        with pytest.raises(DomainError, match=f"depth {depth} is within it"):
+            gap_sequence(mu, depth + 1)
+        assert solved == []
+    # the benchmark's `ns --mu float:2 --depth 60` is far inside the bound
+    assert len(gap_sequence(2.0, 60).entries) == 60
+    # so close to 1 that even the shortest usable sequence is too long
+    with pytest.raises(DomainError, match="no depth is within it"):
+        gap_sequence(1.00005, 20005)
+    assert solved == list(range(1, 61))
 
 
 def test_effort_is_recorded_per_entry():

@@ -2,8 +2,9 @@
 
 Every `llspec` command starts a fresh interpreter, where imports are most of
 the cost of the cheap commands.  `llspec` resolves its public names on first
-use, `llspec.cli` imports a layer inside the commands that call it, and
-`mpmath` is imported only where multiprecision arithmetic runs.
+use, `llspec.cli` imports a layer inside the commands that call it, numpy
+is imported only by the code that computes with arrays, and `mpmath` only
+where multiprecision arithmetic runs.
 """
 
 import importlib
@@ -19,7 +20,9 @@ import llspec
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # modules that only some commands need
-OPTIONAL = ("llspec.anderson", "llspec.lamplighter", "llspec.novikov", "mpmath", "numpy.random")
+OPTIONAL = (
+    "llspec.anderson", "llspec.lamplighter", "llspec.novikov", "mpmath", "numpy", "numpy.random",
+)
 
 
 def _loaded_after(code: str) -> list[str]:
@@ -40,17 +43,17 @@ def test_parser_loads_no_optional_module():
 
 # one command of each kind, with the optional modules it needs
 COMMANDS = [
-    (["zeros", "--mu", "float:0.3", "--depth", "3", "--check"], []),
+    (["zeros", "--mu", "float:0.3", "--depth", "3", "--check"], ["numpy"]),
     (["spectrum", "--mu", "rat:2/1"], []),
-    (["measure", "--mu", "rat:3/2", "--depth", "12", "--check"], []),
-    (["joint-spectrum", "--depth", "2", "--grid", "0,2", "--check"], []),
-    (["eigs", "--level", "2", "--mu", "float:0.3", "--check"], ["llspec.lamplighter"]),
+    (["measure", "--mu", "rat:3/2", "--depth", "12", "--check"], ["numpy"]),
+    (["joint-spectrum", "--depth", "2", "--grid", "0,2", "--check"], ["numpy"]),
+    (["eigs", "--level", "2", "--mu", "float:0.3", "--check"], ["llspec.lamplighter", "numpy"]),
     (["char-poly", "--level", "2", "--mu", "rat:7/6", "--grid", "0", "--check"],
-     ["llspec.lamplighter"]),
+     ["llspec.lamplighter", "numpy"]),
     (["multiplicity", "--level", "2", "--mu", "rat:2/1", "--grid", "2", "--check"],
-     ["llspec.lamplighter"]),
+     ["llspec.lamplighter", "numpy"]),
     (["dos", "--mu", "float:0.3", "--sites", "2000", "--depth", "8", "--check"],
-     ["llspec.anderson", "numpy.random"]),
+     ["llspec.anderson", "numpy", "numpy.random"]),
     (["ns", "--mu", "float:2", "--depth", "12", "--check"], ["llspec.novikov", "mpmath"]),
 ]
 
@@ -62,6 +65,21 @@ def test_command_loads_only_what_it_runs(argv, expected):
         f"assert llspec.cli.main({argv!r} + ['--out', os.devnull]) == 0"
     )
     assert _loaded_after(code) == expected
+
+
+def test_refused_arguments_load_no_optional_module():
+    # an argparse error exits through SystemExit, a bad --mu through main's exit 2
+    code = (
+        "import llspec.cli\n"
+        "try:\n"
+        "    llspec.cli.main(['eigs', '--level', 'x', '--mu', 'float:0.3'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2\n"
+        "else:\n"
+        "    raise AssertionError('no SystemExit')\n"
+        "assert llspec.cli.main(['spectrum', '--mu', 'float:nan']) == 2"
+    )
+    assert _loaded_after(code) == []
 
 
 def test_public_names_resolve_to_the_submodule_objects():
