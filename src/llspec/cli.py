@@ -16,6 +16,14 @@ and nothing else (measure, multiplicity and joint-spectrum have none: they
 decide by exact masses and `measure.coalesce_tol`).  Domain and capacity
 errors and an --out path that cannot be opened exit 2, and a solver that
 fails to converge exits 4.  The level cap honors the LLSPEC_NMAX variable.
+
+Every command but char-poly, eigs and multiplicity sets OPENBLAS_NUM_THREADS
+to 1 unless it is set already, before numpy loads: their LAPACK calls are on
+matrices of at most depth x depth, and OpenBLAS's worker thread would
+spin-wait after it starts (a fresh `import numpy` used 0.23-0.24 s of CPU
+with the default threads on 2 cores, 0.17 s with one).
+The level commands keep the default, since LU and eigvalsh on their 2^n
+matrices run faster with a second thread from level 10 on.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 # every command parses --mu through measure; numpy and the other layers are
@@ -48,6 +57,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# most points a "lo:hi:count" grid may ask for, checked before any is made
+_GRID_MAX = 10**6
+
+
 def _parse_grid(spec: str) -> list[float]:
     """Either "lo:hi:count" (inclusive linspace) or a comma list; every value finite."""
     import numpy as np
@@ -64,8 +77,8 @@ def _parse_grid(spec: str) -> list[float]:
     except ValueError:
         raise DomainError(f"grid must be lo:hi:count or a comma list, got {spec!r}") from None
     if count is not None:
-        if count < 1:
-            raise DomainError("grid count must be >= 1")
+        if not 1 <= count <= _GRID_MAX:
+            raise DomainError(f"grid count must be in [1, {_GRID_MAX}], got {count}")
         with np.errstate(over="ignore", invalid="ignore"):  # hi - lo may overflow
             values = [float(v) for v in np.linspace(lo, hi, count)]
     if not all(map(math.isfinite, values)):
@@ -537,6 +550,11 @@ def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False
                          help=f"--check bound (default {tol:g}; finite, >= 0)")
 
 
+# the commands that factor or diagonalise a 2^n level matrix; they keep
+# OpenBLAS's default threads, the others start one (see the module docstring)
+_LEVEL_COMMANDS = frozenset({"char-poly", "eigs", "multiplicity"})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llspec",
@@ -587,6 +605,10 @@ def main(argv=None) -> int:
     """Run one command and return its exit code; a ConvergenceError propagates."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # OpenBLAS reads this once, when numpy loads; a process that loaded it
+    # before main keeps its threads, and a value set by the user wins
+    if args.command not in _LEVEL_COMMANDS and "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         with _open_out(args.out) as args.stream:
             return args.func(args)

@@ -33,9 +33,11 @@ from .errors import CapacityError, ConvergenceError, DomainError
 from .ghpolys import g_signlog
 
 _N_MAX_DEFAULT = 12
-# memory a level may take, whatever LLSPEC_NMAX allows: `build_level` holds
-# three uint8 matrices of 4^n bytes and `pencil_matrix` two float64 copies of
-# 8 * 4^n, 19 * 4^n bytes in all, so 2 GiB admits level 13 and refuses 14
+# memory a level may take, whatever LLSPEC_NMAX allows: `phi_det_signlog`
+# holds three float64 copies of 8 * 4^n bytes (the cached pencil, the shifted
+# copy and LAPACK's), and peak RSS grew by 26-28 bytes per 4^n at levels 10
+# and 11, so a level is budgeted 30 * 4^n bytes; 2 GiB admits 13, refuses 14
+_LEVEL_BYTES_PER_ENTRY = 30
 _LEVEL_BYTES_MAX = 2 << 30
 # cyclic sweeps `dense_eigs` may run, and its stopping threshold relative to ||M||_F
 _SWEEP_LIMIT = 50
@@ -62,10 +64,10 @@ def _check_level(n: int):
         raise DomainError("level must be nonnegative")
     if n > cap:
         raise CapacityError(f"level {n} exceeds the configured bound {cap}")
-    # min() keeps the integer small for any LLSPEC_NMAX; 19 * 4^64 is over any budget
-    if 19 << (2 * min(n, 64)) > _LEVEL_BYTES_MAX:
+    # min() keeps the integer small for any LLSPEC_NMAX; 30 * 4^64 is over any budget
+    if _LEVEL_BYTES_PER_ENTRY << (2 * min(n, 64)) > _LEVEL_BYTES_MAX:
         raise CapacityError(
-            f"level {n} needs 19 * 4^{n} bytes of dense matrices, "
+            f"level {n} needs {_LEVEL_BYTES_PER_ENTRY} * 4^{n} bytes of dense matrices, "
             f"over the budget of {_LEVEL_BYTES_MAX >> 30} GiB"
         )
 

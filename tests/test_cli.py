@@ -432,12 +432,12 @@ def test_level_cap_env_override(capsys, monkeypatch):
 
 
 def test_level_over_the_memory_budget_exits_two(capsys, monkeypatch):
-    # LLSPEC_NMAX lifts the level cap, not the memory budget: level 16 would take 82 GB
+    # LLSPEC_NMAX lifts the level cap, not the memory budget: level 16 would take 129 GB
     monkeypatch.setenv("LLSPEC_NMAX", "16")
     code, out, err = _run(capsys, "eigs", "--level", "16", "--mu", "float:0.3")
     assert code == EXIT_DOMAIN and out == ""
     assert err.splitlines() == [
-        "error: level 16 needs 19 * 4^16 bytes of dense matrices, over the budget of 2 GiB"
+        "error: level 16 needs 30 * 4^16 bytes of dense matrices, over the budget of 2 GiB"
     ]
 
 
@@ -477,6 +477,10 @@ def test_csv_reals_have_full_precision(capsys):
         ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid=0:inf:3"),
         ("joint-spectrum", "--depth", "2", "--grid=nan:1:3", "--check"),
         ("multiplicity", "--level", "2", "--mu", "float:0.3", "--grid=-1e308:1e308:3"),
+        # a count over the cap is refused before any grid point is made (7.28 TiB here)
+        ("char-poly", "--level", "1", "--mu", "float:0.3", "--grid=0:1:1000000000000"),
+        ("multiplicity", "--level", "1", "--mu", "float:0.3", "--grid=0:1:1000000000000"),
+        ("joint-spectrum", "--depth", "2", "--grid=0:1:1000000000000", "--check"),
     ],
 )
 def test_malformed_grid_exits_two(capsys, argv):

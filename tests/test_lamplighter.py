@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,7 +270,7 @@ def test_capacity_honors_env(monkeypatch):
 
 
 def test_level_over_the_memory_budget_is_refused_before_allocating(monkeypatch):
-    # 19 * 4^n bytes: level 13 (1.3 GB) fits the 2 GiB budget, level 14 (5.1 GB) does not
+    # 30 * 4^n bytes: level 13 (2.01 GB) fits the 2 GiB (2.15 GB) budget, level 14 (8.1 GB) does not
     monkeypatch.setenv("LLSPEC_NMAX", str(10**9))
     lamplighter._check_level(13)
 
@@ -279,6 +283,33 @@ def test_level_over_the_memory_budget_is_refused_before_allocating(monkeypatch):
             build_level(n)
         with pytest.raises(CapacityError, match="budget"):
             phi_det_signlog(n, 0.5, 0.3)
+
+
+_PEAK_PROBE = """
+import os, llspec.cli
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+for level in (2, 11):
+    argv = ["char-poly", "--level", str(level), "--mu", "float:0.3", "--grid", "0.5"]
+    assert llspec.cli.main(argv + ["--out", os.devnull]) == 0
+    print(peak())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_level_budget_covers_the_measured_peak():
+    # VmHWM is the peak RSS of this interpreter alone (ru_maxrss of a child also
+    # counts its parent's); level 2 loads every module, so the growth from there
+    # to level 11 is what the level's matrices took
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(lamplighter.__file__).parents[1])),
+    ).stdout
+    base_kib, peak_kib = map(int, out.split())
+    assert (peak_kib - base_kib) * 1024 <= lamplighter._LEVEL_BYTES_PER_ENTRY * 4**11
 
 
 def test_factorized_large_level_does_not_overflow(monkeypatch):
