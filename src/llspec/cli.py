@@ -17,13 +17,19 @@ decide by exact masses and `measure.coalesce_tol`).  Domain and capacity
 errors and an --out path that cannot be opened exit 2, and a solver that
 fails to converge exits 4.  The level cap honors the LLSPEC_NMAX variable.
 
-Every command but char-poly, eigs and multiplicity sets OPENBLAS_NUM_THREADS
-to 1 unless it is set already, before numpy loads: their LAPACK calls are on
-matrices of at most depth x depth, and OpenBLAS's worker thread would
-spin-wait after it starts (a fresh `import numpy` used 0.23-0.24 s of CPU
-with the default threads on 2 cores, 0.17 s with one).
-The level commands keep the default, since LU and eigvalsh on their 2^n
-matrices run faster with a second thread from level 10 on.
+As a process (`run`: the `llspec` script and `python -m llspec.cli`), every
+command starts OpenBLAS with one thread: `run` sets OPENBLAS_NUM_THREADS to 1
+before numpy loads, unless numpy is loaded already or OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set, so a user's setting wins.  The
+LAPACK calls of zeros, measure, joint-spectrum and dos are on matrices of at
+most depth x depth, eigs and multiplicity diagonalise with elementwise numpy
+and make no BLAS call on a level matrix, and char-poly's LU runs as fast on
+one thread as on two up to level 9 (2^9 = 512).  OpenBLAS's worker threads
+would only spin-wait after they start: a fresh `import numpy` used 0.23-0.24 s
+of CPU with the default threads on 2 cores, 0.17 s with one.  From level 10
+on, char-poly gains from more threads (LU at size 2048: 0.14-0.17 s on two,
+0.19-0.24 s on one), which OPENBLAS_NUM_THREADS grants.  `main` alone leaves
+the environment as it is.
 """
 
 from __future__ import annotations
@@ -550,11 +556,6 @@ def _add_common(sub, *, mu=False, level=False, depth=None, grid=None, seed=False
                          help=f"--check bound (default {tol:g}; finite, >= 0)")
 
 
-# the commands that factor or diagonalise a 2^n level matrix; they keep
-# OpenBLAS's default threads, the others start one (see the module docstring)
-_LEVEL_COMMANDS = frozenset({"char-poly", "eigs", "multiplicity"})
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llspec",
@@ -601,14 +602,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the variables OpenBLAS takes its thread count from, in its order of precedence
+_BLAS_THREAD_VARIABLES = frozenset({"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"})
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code; a ConvergenceError propagates."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # OpenBLAS reads this once, when numpy loads; a process that loaded it
-    # before main keeps its threads, and a value set by the user wins
-    if args.command not in _LEVEL_COMMANDS and "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         with _open_out(args.out) as args.stream:
             return args.func(args)
@@ -618,7 +619,11 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """Process entry point: `main`, with a solver that did not converge as exit 4."""
+    """Process entry point: `main` on one BLAS thread, with a solver that did not converge as exit 4."""
+    # OpenBLAS reads its thread count once, when numpy loads; a process that
+    # loaded numpy already keeps its threads, and a count set by the user wins
+    if "numpy" not in sys.modules and not _BLAS_THREAD_VARIABLES & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return main(argv)
     except ConvergenceError as exc:

@@ -303,10 +303,13 @@ for level in (2, 11):
 def test_level_budget_covers_the_measured_peak():
     # VmHWM is the peak RSS of this interpreter alone (ru_maxrss of a child also
     # counts its parent's); level 2 loads every module, so the growth from there
-    # to level 11 is what the level's matrices took
+    # to level 11 is what the level's matrices took.  One BLAS thread, as the
+    # llspec process runs, so no per-thread LU buffers scale the growth with
+    # the core count
     out = subprocess.run(
         [sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(Path(lamplighter.__file__).parents[1])),
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                 PYTHONPATH=str(Path(lamplighter.__file__).parents[1])),
     ).stdout
     base_kib, peak_kib = map(int, out.split())
     assert (peak_kib - base_kib) * 1024 <= lamplighter._LEVEL_BYTES_PER_ENTRY * 4**11

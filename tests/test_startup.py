@@ -4,9 +4,8 @@ Every `llspec` command starts a fresh interpreter, where imports are most of
 the cost of the cheap commands.  `llspec` resolves its public names on first
 use, `llspec.cli` imports a layer inside the commands that call it, numpy
 is imported only by the code that computes with arrays, and `mpmath` only
-where multiprecision arithmetic runs.  Commands whose LAPACK work is on
-depth x depth matrices start OpenBLAS with one thread, which spares them the
-worker thread's spin-wait.
+where multiprecision arithmetic runs.  As a process, every command starts
+OpenBLAS with one thread, which spares it the worker threads' spin-wait.
 """
 
 import importlib
@@ -98,20 +97,20 @@ def test_unknown_name_raises_attribute_error():
         llspec.no_such_name
 
 
-def _blas_threads_after(argv, **env) -> tuple[str | None, int | None]:
-    """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter after `main(argv)`.
+def _blas_threads_after(argv, entry="run", **env) -> tuple[str | None, int | None]:
+    """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter after `entry(argv)`.
 
-    `env` adds variables; OPENBLAS_NUM_THREADS is otherwise unset.  The count
-    is None where there is no /proc.
+    `env` adds variables to an environment without any of the BLAS thread
+    variables.  The count is None where there is no /proc.
     """
     probe = (
         "import os, llspec.cli\n"
-        f"assert llspec.cli.main({argv!r} + ['--out', os.devnull]) == 0\n"
+        f"assert llspec.cli.{entry}({argv!r} + ['--out', os.devnull]) == 0\n"
         "task = '/proc/self/task'\n"
         "count = len(os.listdir(task)) if os.path.isdir(task) else None\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'), count)"
     )
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base = {k: v for k, v in os.environ.items() if k not in llspec.cli._BLAS_THREAD_VARIABLES}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(base, PYTHONPATH=str(SRC), **env),
@@ -120,13 +119,8 @@ def _blas_threads_after(argv, **env) -> tuple[str | None, int | None]:
     return (None if value == "None" else value), (None if count == "None" else int(count))
 
 
-# the commands of COMMANDS that load numpy but factor no level matrix, and those that do
-ONE_THREAD = [argv for argv, _ in COMMANDS if argv[0] in ("zeros", "measure", "joint-spectrum", "dos")]
-LEVEL = [argv for argv, _ in COMMANDS if argv[0] in ("char-poly", "eigs", "multiplicity")]
-
-
-@pytest.mark.parametrize("argv", ONE_THREAD, ids=[argv[0] for argv in ONE_THREAD])
-def test_small_lapack_commands_run_one_blas_thread(argv):
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=[argv[0] for argv, _ in COMMANDS])
+def test_every_command_runs_one_blas_thread(argv):
     value, count = _blas_threads_after(argv)
     assert value == "1"
     if count is None:
@@ -134,19 +128,21 @@ def test_small_lapack_commands_run_one_blas_thread(argv):
     assert count == 1
 
 
-@pytest.mark.parametrize("argv", LEVEL, ids=[argv[0] for argv in LEVEL])
-def test_level_commands_keep_the_default_blas_threads(argv):
-    assert _blas_threads_after(argv)[0] is None
+@pytest.mark.parametrize("variable", sorted(llspec.cli._BLAS_THREAD_VARIABLES))
+def test_user_blas_threads_win(variable):
+    value = _blas_threads_after(COMMANDS[0][0], **{variable: "2"})[0]
+    assert value == ("2" if variable == "OPENBLAS_NUM_THREADS" else None)
 
 
-def test_user_blas_threads_win():
-    assert _blas_threads_after(ONE_THREAD[0], OPENBLAS_NUM_THREADS="2")[0] == "2"
+def test_main_alone_leaves_the_environment():
+    assert _blas_threads_after(COMMANDS[0][0], entry="main")[0] is None
 
 
-def test_in_process_main_after_numpy_leaves_the_environment(monkeypatch):
+def test_in_process_run_after_numpy_leaves_the_environment(monkeypatch):
     import numpy  # noqa: F401  the rule looks for it in sys.modules
 
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    for variable in llspec.cli._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
     before = dict(os.environ)
-    assert llspec.cli.main(["zeros", "--mu", "float:0.3", "--depth", "2", "--out", os.devnull]) == 0
+    assert llspec.cli.run(["zeros", "--mu", "float:0.3", "--depth", "2", "--out", os.devnull]) == 0
     assert dict(os.environ) == before
