@@ -167,7 +167,7 @@ class _BlockCounts:
         starts, sizes = _block_bounds(sample)
         last = int(starts[-1])
         starts, sizes = starts[first:-1], sizes[first:-1]
-        for size in np.unique(sizes).tolist():
+        for size in np.flatnonzero(np.bincount(sizes)).tolist():  # unique() loads numpy.ma
             idx = starts[sizes == size][:, None] + np.arange(size)
             rows = np.hstack((sample.diag[idx], sample.offdiag[idx[:, :-1]]))
             words = rows.view(np.uint64)

@@ -14,8 +14,12 @@ significant digits, rationals as "p/q".  With --check, every command but
 spectrum exits 3 when its acceptance bound is breached; --tol sets that bound
 and nothing else (measure, multiplicity and joint-spectrum have none: they
 decide by exact masses and `measure.coalesce_tol`).  Domain and capacity
-errors and an --out path that cannot be opened exit 2, and a solver that
-fails to converge exits 4.  The level cap honors the LLSPEC_NMAX variable.
+errors, an --out path that cannot be opened and a failed write exit 2, and a
+solver that fails to converge exits 4.  The level cap honors the LLSPEC_NMAX
+variable.
+
+Each handler returns what it computed as a `_Result`; `main` alone writes it,
+as CSV or JSON, and maps it to the exit code.
 
 As a process (`run`: the `llspec` script and `python -m llspec.cli`), every
 command starts OpenBLAS with one thread: `run` sets OPENBLAS_NUM_THREADS to 1
@@ -42,6 +46,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable, NamedTuple
 
 # every command parses --mu through measure; numpy and the other layers are
 # imported by the commands that call them, so a command loads only the modules
@@ -58,9 +63,7 @@ _REAL = ".17g"  # 17 significant digits round-trip every double
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, _REAL)
-    return str(x)
+    return format(x, _REAL) if isinstance(x, float) else str(x)
 
 
 # most points a "lo:hi:count" grid may ask for, checked before any is made
@@ -103,6 +106,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# deepest --depth of zeros, measure, joint-spectrum and dos; their work grows
+# faster than depth^2: on 2 cores the slowest, `dos --check` at one mu, took
+# 3.3 s at depth 200 and 17 s at 400
+_DEPTH_MAX = 200
+
+
+def _depth(depth: int) -> int:
+    """--depth of the commands that sum over G_1 .. G_depth, checked before any work."""
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    if depth > _DEPTH_MAX:
+        raise DomainError(f"depth must be <= {_DEPTH_MAX}, got {depth}")
+    return depth
+
+
 def _open_out(path: str | None):
     """The stream a command writes to: stdout, or `path`, opened before the command runs."""
     if path is None:
@@ -123,16 +141,13 @@ def _csv_rows(rows):
         yield ",".join(map(_fmt, row)) + "\n"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+class _Result(NamedTuple):
+    """What a command computed; `main` writes it and turns it into the exit code."""
 
-
-def _emit(args, header, lines, payload):
-    """The JSON payload, or the CSV header followed by `lines` (chunks of whole lines)."""
-    if args.format == "json":
-        args.stream.write(_json_text(payload))
-    else:
-        args.stream.writelines(itertools.chain([",".join(header) + "\n"], lines))
+    header: tuple[str, ...]  # of the CSV
+    lines: Iterable[str]  # the CSV rows, as whole lines or chunks of whole lines
+    payload: dict  # the JSON
+    check_failed: bool = False  # --check was given and its bound failed
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +155,7 @@ def _emit(args, header, lines, payload):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_char_poly(args) -> int:
+def _cmd_char_poly(args) -> _Result:
     import numpy as np
 
     from . import lamplighter
@@ -162,20 +177,14 @@ def _cmd_char_poly(args) -> int:
              lamplighter._signlog_float(s_fac, l_fac), rel)
         )
     worst = float(np.max([row[3] for row in rows]))  # a NaN propagates, unlike max()
-    payload = {
-        "mu": args.mu,
-        "level": args.level,
-        "max_rel_err": worst,
-        "rows": [dict(zip(("lam", "phi_det", "phi_factorized", "rel_err"), r)) for r in rows],
-    }
-    _emit(args, ("lam", "phi_det", "phi_factorized", "rel_err"), _csv_rows(rows), payload)
-    if args.check:
-        if not worst <= args.tol:  # a sign mismatch is inf, and NaN fails too
-            return EXIT_CHECK
-    return EXIT_OK
+    header = ("lam", "phi_det", "phi_factorized", "rel_err")
+    payload = {"mu": args.mu, "level": args.level, "max_rel_err": worst,
+               "rows": [dict(zip(header, r)) for r in rows]}
+    # a sign mismatch is inf, and NaN fails too
+    return _Result(header, _csv_rows(rows), payload, args.check and not worst <= args.tol)
 
 
-def _cmd_eigs(args) -> int:
+def _cmd_eigs(args) -> _Result:
     import numpy as np
 
     from . import lamplighter
@@ -185,22 +194,20 @@ def _cmd_eigs(args) -> int:
     eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, mu))
     rows = [(i, v) for i, v in enumerate(eigs)]
     payload = {"mu": args.mu, "level": args.level, "eigenvalues": [float(v) for v in eigs]}
-    _emit(args, ("index", "eigenvalue"), _csv_rows(rows), payload)
-    if args.check:
-        if len(eigs) != 1 << args.level or np.min(np.abs(eigs - (4.0 - mu))) > args.tol:
-            return EXIT_CHECK
-    return EXIT_OK
+    failed = args.check and (
+        len(eigs) != 1 << args.level or np.min(np.abs(eigs - (4.0 - mu))) > args.tol
+    )
+    return _Result(("index", "eigenvalue"), _csv_rows(rows), payload, failed)
 
 
-def _cmd_zeros(args) -> int:
+def _cmd_zeros(args) -> _Result:
     from . import ghpolys
 
+    depth = _depth(args.depth)
     mu = measure.mu_value(measure.parse_mu(args.mu))
-    if args.depth < 1:
-        raise DomainError("depth must be >= 1")
     rows = []
     ok = True
-    for k in range(1, args.depth + 1):
+    for k in range(1, depth + 1):
         zs = ghpolys.g_zeros(k, mu)
         for j, z in enumerate(zs):
             value, scale = ghpolys.g_value_with_scale(k, float(z), mu)
@@ -211,18 +218,12 @@ def _cmd_zeros(args) -> int:
             else:
                 ok = ok and abs(value) <= bound * max(1.0, scale)
             rows.append((k, j, float(z), value, abs(value) / max(1.0, scale)))
-    payload = {
-        "mu": args.mu,
-        "depth": args.depth,
-        "rows": [dict(zip(("k", "index", "zero", "residual", "residual_relative"), r)) for r in rows],
-    }
-    _emit(args, ("k", "index", "zero", "residual", "residual_relative"), _csv_rows(rows), payload)
-    if args.check and not ok:
-        return EXIT_CHECK
-    return EXIT_OK
+    header = ("k", "index", "zero", "residual", "residual_relative")
+    payload = {"mu": args.mu, "depth": depth, "rows": [dict(zip(header, r)) for r in rows]}
+    return _Result(header, _csv_rows(rows), payload, args.check and not ok)
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> _Result:
     from . import jacobi
 
     mu = measure.mu_value(measure.parse_mu(args.mu))
@@ -241,28 +242,16 @@ def _cmd_spectrum(args) -> int:
             "isolated_mass": jstar.mass_at_isolated,
         },
     }
-    rows = [
-        (
-            pencil.band[0],
-            pencil.band[1],
-            "" if pencil.isolated is None else pencil.isolated,
-            jstar.band[0],
-            jstar.band[1],
-            "" if jstar.isolated is None else jstar.isolated,
-            jstar.mass_at_isolated,
-        )
-    ]
-    header = (
-        "pencil_lo", "pencil_hi", "accumulation_point",
-        "jstar_lo", "jstar_hi", "isolated_eigenvalue", "isolated_mass",
-    )
-    _emit(args, header, _csv_rows(rows), payload)
-    return EXIT_OK
+    row = (*pencil.band, "" if pencil.isolated is None else pencil.isolated,
+           *jstar.band, "" if jstar.isolated is None else jstar.isolated, jstar.mass_at_isolated)
+    header = ("pencil_lo", "pencil_hi", "accumulation_point",
+              "jstar_lo", "jstar_hi", "isolated_eigenvalue", "isolated_mass")
+    return _Result(header, _csv_rows([row]), payload)
 
 
-def _cmd_measure(args) -> int:
-    mu = measure.parse_mu(args.mu)
-    trunc = measure.measure_truncation(mu, args.depth)
+def _cmd_measure(args) -> _Result:
+    depth = _depth(args.depth)
+    trunc = measure.measure_truncation(measure.parse_mu(args.mu), depth)
     payload = measure.measure_to_json(trunc)
     rows = [
         ("atom", a.position, f"{a.mass.numerator}/{a.mass.denominator}",
@@ -272,13 +261,11 @@ def _cmd_measure(args) -> int:
     rows.append(
         ("tail", "", f"{trunc.tail_mass.numerator}/{trunc.tail_mass.denominator}", "", "")
     )
-    _emit(args, ("kind", "position", "mass", "indices", "class"), _csv_rows(rows), payload)
-    if args.check and trunc.total_mass() != 1:
-        return EXIT_CHECK
-    return EXIT_OK
+    return _Result(("kind", "position", "mass", "indices", "class"), _csv_rows(rows), payload,
+                   args.check and trunc.total_mass() != 1)
 
 
-def _cmd_multiplicity(args) -> int:
+def _cmd_multiplicity(args) -> _Result:
     import numpy as np
 
     from . import lamplighter
@@ -291,10 +278,8 @@ def _cmd_multiplicity(args) -> int:
         raise DomainError("level must be >= 1")
     tol = measure.coalesce_tol(measure.mu_value(mu))
     if args.check:
-        eigs = lamplighter.dense_eigs(
-            lamplighter.pencil_matrix(lamplighter.build_level(args.level),
-                                      measure.mu_value(mu))
-        )
+        rep = lamplighter.build_level(args.level)
+        eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, measure.mu_value(mu)))
     rows = []
     for lam in grid:
         try:
@@ -302,32 +287,26 @@ def _cmd_multiplicity(args) -> int:
             rows.append((lam, mult, 1))
         except DomainError:
             rows.append((lam, 0, 0))
-    payload = {
-        "mu": args.mu,
-        "level": args.level,
-        "rows": [dict(zip(("lam", "multiplicity", "is_root"), r)) for r in rows],
-    }
-    _emit(args, ("lam", "multiplicity", "is_root"), _csv_rows(rows), payload)
-    if args.check:
-        for lam, mult, _ in rows:
-            if int(np.sum(np.abs(eigs - lam) <= tol)) != mult:
-                return EXIT_CHECK
-    return EXIT_OK
+    header = ("lam", "multiplicity", "is_root")
+    payload = {"mu": args.mu, "level": args.level, "rows": [dict(zip(header, r)) for r in rows]}
+    failed = args.check and any(
+        int(np.sum(np.abs(eigs - lam) <= tol)) != mult for lam, mult, _ in rows
+    )
+    return _Result(header, _csv_rows(rows), payload, failed)
 
 
-def _cmd_joint_spectrum(args) -> int:
+def _cmd_joint_spectrum(args) -> _Result:
     import numpy as np
 
     from . import ghpolys, jacobi
 
-    if args.depth < 1:
-        raise DomainError("depth must be >= 1")
+    depth = _depth(args.depth)
     rows = []
     ok = True
     for mu in _parse_grid(args.grid):
         onset = jacobi.critical_index(mu) if abs(mu) > 1 else None
         tol = measure.coalesce_tol(mu)
-        for k in range(1, args.depth + 1):
+        for k in range(1, depth + 1):
             zs = ghpolys.g_zeros(k, mu)
             beyond = np.abs(zs + mu) - 4.0  # distance outside the band [-4 - mu, 4 - mu]
             inside = beyond <= tol
@@ -339,14 +318,9 @@ def _cmd_joint_spectrum(args) -> int:
                 on_edge = outliers == 0 and bool(np.any(np.abs(beyond) <= tol))
                 if outliers != expected and not (expected == 1 and on_edge):
                     ok = False
-    payload = {
-        "depth": args.depth,
-        "rows": [dict(zip(("mu", "k", "zero", "inside_strip"), r)) for r in rows],
-    }
-    _emit(args, ("mu", "k", "zero", "inside_strip"), _csv_rows(rows), payload)
-    if args.check and not ok:
-        return EXIT_CHECK
-    return EXIT_OK
+    header = ("mu", "k", "zero", "inside_strip")
+    payload = {"depth": depth, "rows": [dict(zip(header, r)) for r in rows]}
+    return _Result(header, _csv_rows(rows), payload, args.check and not ok)
 
 
 # rows per chunk of `dos` CSV text, under 1 MB at 50 bytes a row
@@ -459,20 +433,21 @@ def _dos_rows(ids):
         yield _weight_lines(cells, which - first, k / total)
 
 
-def _cmd_dos(args) -> int:
+def _cmd_dos(args) -> _Result:
     from . import anderson
 
+    depth = _depth(args.depth)
     mu_param = measure.parse_mu(args.mu)
     mu = measure.mu_value(mu_param)
     ids = anderson.line_ids(args.seed, args.sites, mu)
-    trunc = measure.measure_truncation(mu_param, args.depth)
+    trunc = measure.measure_truncation(mu_param, depth)
     checkpoints = anderson.default_checkpoints(trunc)
     report = anderson.compare_ids(ids, trunc, checkpoints)
     payload = {
         "mu": args.mu,
         "sites": args.sites,
         "seed": args.seed,
-        "depth": args.depth,
+        "depth": depth,
         "interior_sites": ids.site_count,
         "sup_deviation": report.sup_deviation,
         "tail_mass": report.tail_mass,
@@ -480,14 +455,11 @@ def _cmd_dos(args) -> int:
         "empirical_cdf": list(report.empirical_cdf),
         "theoretical_mid": list(report.theoretical_mid),
     }
-    _emit(args, ("eigenvalue", "cumulative_weight"), _dos_rows(ids), payload)
-    if args.check:
-        if report.sup_deviation >= args.tol:
-            return EXIT_CHECK
-    return EXIT_OK
+    return _Result(("eigenvalue", "cumulative_weight"), _dos_rows(ids), payload,
+                   args.check and report.sup_deviation >= args.tol)
 
 
-def _cmd_ns(args) -> int:
+def _cmd_ns(args) -> _Result:
     from . import novikov
 
     mu_param = measure.parse_mu(args.mu)
@@ -496,6 +468,7 @@ def _cmd_ns(args) -> int:
     seq = novikov.gap_sequence(mu, args.depth)
     rate = novikov.decay_rate(seq)
     inv = novikov.ns_invariant(mu, args.depth, seq=seq)
+    header = ("m", "x_m", "gap", "log2_gap")
     rows = [(e.m, e.x_m, e.gap, e.log2_gap) for e in seq.entries]
     payload = {
         "mu": args.mu,
@@ -503,7 +476,7 @@ def _cmd_ns(args) -> int:
         "decay_rate": rate,
         "closed_form": inv.closed_form,
         "empirical": inv.empirical,
-        "rows": [dict(zip(("m", "x_m", "gap", "log2_gap"), r)) for r in rows],
+        "rows": [dict(zip(header, r)) for r in rows],
         "meta": {
             "effort": [
                 {"m": e.m, "mp_digits": e.digits, "recurrence_passes": e.passes}
@@ -511,14 +484,12 @@ def _cmd_ns(args) -> int:
             ],
         },
     }
-    _emit(args, ("m", "x_m", "gap", "log2_gap"), _csv_rows(rows), payload)
-    if args.check:
-        muf = float(mu)
-        rate_ok = abs(rate * muf * muf - 1.0) <= args.tol
-        ns_ok = abs(inv.empirical / inv.closed_form - 1.0) <= 0.05
-        if not (rate_ok and ns_ok):
-            return EXIT_CHECK
-    return EXIT_OK
+    muf = float(mu)
+    failed = args.check and not (
+        abs(rate * muf * muf - 1.0) <= args.tol
+        and abs(inv.empirical / inv.closed_form - 1.0) <= 0.05
+    )
+    return _Result(header, _csv_rows(rows), payload, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +578,24 @@ _BLAS_THREAD_VARIABLES = frozenset({"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", 
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code; a ConvergenceError propagates."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its result and return the exit code; a ConvergenceError propagates."""
+    args = build_parser().parse_args(argv)
     try:
-        with _open_out(args.out) as args.stream:
-            return args.func(args)
+        with _open_out(args.out) as stream:
+            result = args.func(args)
+            if args.format == "json":
+                stream.write(json.dumps(result.payload, indent=2, sort_keys=True) + "\n")
+            else:
+                stream.writelines(itertools.chain([",".join(result.header) + "\n"], result.lines))
+            stream.flush()  # a stdout that fails does so here, not in the exit-time flush
     except (DomainError, CapacityError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:  # from a write, or from the flush as the --out file closes
+        target = "stdout" if args.out is None else f"--out {args.out!r}"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    return EXIT_CHECK if result.check_failed else EXIT_OK
 
 
 def run(argv=None) -> int:
@@ -629,6 +609,13 @@ def run(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    finally:
+        # `main` reported a stdout that failed; what stays in its buffer would
+        # fail again, with a second message, in the interpreter's exit-time flush
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":  # pragma: no cover

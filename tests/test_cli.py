@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import llspec
-from llspec import anderson, lamplighter, novikov
+from llspec import anderson, cli, ghpolys, lamplighter, measure, novikov
 from llspec.cli import EXIT_CHECK, EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_OK, main, run
 from llspec.errors import ConvergenceError
 
@@ -207,6 +207,143 @@ def test_dos_output_bytes_are_pinned_across_parameters(capsys, mu, fmt):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == _DOS_DIGESTS[mu, fmt]
+
+
+# one small run of each command, and one --check that fails
+_COMMANDS = {
+    "char-poly": ("char-poly", "--level", "4", "--mu", "rat:7/6", "--grid=-6:6:13", "--check"),
+    "eigs": ("eigs", "--level", "4", "--mu", "float:0.3", "--check"),
+    "zeros": ("zeros", "--mu", "float:2", "--depth", "12", "--check"),
+    "spectrum": ("spectrum", "--mu", "rat:2/1"),
+    "measure": ("measure", "--mu", "rat:3/2", "--depth", "12", "--check"),
+    "multiplicity": ("multiplicity", "--level", "5", "--mu", "rat:2/1", "--grid", "2,0,-1",
+                     "--check"),
+    "joint-spectrum": ("joint-spectrum", "--depth", "6", "--grid=-3:3:13", "--check"),
+    "dos": ("dos", "--mu", "float:0.3", "--sites", "20000", "--seed", "7", "--depth", "10",
+            "--check"),
+    "ns": ("ns", "--mu", "float:2", "--depth", "12", "--check"),
+    "dos-breach": ("dos", "--mu", "float:0.3", "--sites", "5000", "--seed", "7", "--depth", "10",
+                   "--check", "--tol", "1e-9"),
+}
+
+# exit code and SHA-256 of stdout, taken before the handlers returned their
+# results to `main`, when each handler wrote its own output
+_COMMAND_DIGESTS = {
+    ("char-poly", "csv"): (0, "f5b1099ce8a15c7a438cf43799400a9329ee20b7b667ed14a285726fc278f3b2"),
+    ("char-poly", "json"): (0, "14d2d8b5388f6eecde2234c4dbddb27bc0cf30adb178ea0cefce520c9c6efb05"),
+    ("eigs", "csv"): (0, "2ebc517661a24425e0d46d36d8dd5cb3266094f02a9ebb34ccae95505253b47d"),
+    ("eigs", "json"): (0, "45c024a266ba998da4607e799c838e77939a076ed17f1b6623c2930d49001441"),
+    ("zeros", "csv"): (0, "39674ddccb98cfb29bbd49c18d1710fba57e1f6fa677b7cc1fcfdeae42e8844b"),
+    ("zeros", "json"): (0, "6811778b8002401baa17d1be22de51511437991f63f96d0fea83f45cabbca471"),
+    ("spectrum", "csv"): (0, "38bd20e0e0e03072f08a6a72de132491b969f2c0fd66d8dc47487bbd4cc65dcc"),
+    ("spectrum", "json"): (0, "fc00fdabd1ca0779d531a992466e52362b46a3d58a7c71eef743ea2f710f26aa"),
+    ("measure", "csv"): (0, "a6b22f820da9731d68dbaf0f150d7ef473d217c42a740f06c693defa6f9f5084"),
+    ("measure", "json"): (0, "965149ba4d23af0649a5f3180821bb684d9b6d82fa163bc0ac3bb9ed15b68d78"),
+    ("multiplicity", "csv"): (0, "4180d96028b4004ba51d588b693e6176a0b29a9cb7e7e160f3db239da06d7266"),
+    ("multiplicity", "json"): (0, "ac9e45db145498e37966c7258f681719996b34e2eb223670a99661133ecd18ad"),
+    ("joint-spectrum", "csv"): (0, "7f500a6fa51e4c3c395791be7dd0187160b877f2fe3d75d3227409ffd74b0f45"),
+    ("joint-spectrum", "json"): (0, "e6f29d2acabf8ee8e78cec0546a40ae168ed874ff03a59441ae47a5ae4cfb540"),
+    ("dos", "csv"): (0, "cd297affd07aa63d20eef1ae6e07a43cf0d79f2a2bc45e5597451dceb5620ab8"),
+    ("dos", "json"): (0, "eed943d2bbaf0149a5967df516be7d3d98832f72e3c61cb9f459fe057eeff3d7"),
+    ("ns", "csv"): (0, "dea426d6225dd5edb644dbd33c21720f6147879616bb1aab7d4b5991481d50e6"),
+    ("ns", "json"): (0, "3b70ac29b558361fcd80dfc589fc6e85378df7685f4f5a4c1ec1d3d7c7922650"),
+    ("dos-breach", "csv"): (3, "dfc3c3c486b83841ef4269b99a19bf5412b17213616f0ebadd6fa6c9170dafde"),
+    ("dos-breach", "json"): (3, "d502e22bd852122654120d500b5370d64ecb1e76618754150cd9ae9f03a6966a"),
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(_COMMAND_DIGESTS))
+def test_command_output_bytes_are_pinned(capsys, name, fmt):
+    code, out, err = _run(capsys, *_COMMANDS[name], "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _COMMAND_DIGESTS[name, fmt]
+    assert err == ""
+
+
+# for each command, arguments it refuses after parsing: a bad parameter, a
+# depth or level out of range, and an --out that cannot be opened
+_REFUSED = {
+    "char-poly": [("--mu", "float:nan"), ("--level", "13"), ("--out", "{missing}")],
+    "eigs": [("--mu", "float:nan"), ("--level", "13"), ("--out", "{missing}")],
+    "zeros": [("--mu", "float:nan"), ("--depth", "0"), ("--depth", "201"), ("--out", "{missing}")],
+    "spectrum": [("--mu", "float:nan"), ("--out", "{missing}")],
+    "measure": [("--mu", "rat:1/0"), ("--depth", "0"), ("--depth", "201"), ("--out", "{missing}")],
+    "multiplicity": [("--mu", "float:nan"), ("--level", "13"), ("--out", "{missing}")],
+    "joint-spectrum": [("--grid", "nan"), ("--depth", "0"), ("--depth", "201"),
+                       ("--out", "{missing}")],
+    "dos": [("--mu", "float:nan"), ("--depth", "0"), ("--depth", "201"), ("--out", "{missing}")],
+    "ns": [("--mu", "float:0.5"), ("--depth", "5"), ("--out", "{missing}")],
+}
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [(name, extra) for name, cases in _REFUSED.items() for extra in cases],
+    ids=[f"{name}{'='.join(extra)}" for name, cases in _REFUSED.items() for extra in cases],
+)
+def test_refused_arguments_exit_two_with_one_error_line(tmp_path, capsys, monkeypatch, name, extra):
+    monkeypatch.delenv("LLSPEC_NMAX", raising=False)
+    extra = [a.replace("{missing}", str(tmp_path / "missing" / "x")) for a in extra]
+    # the later of two equal flags wins, so `extra` overrides the valid value
+    code = run([*_COMMANDS[name], *extra])
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("work", [("zeros", ghpolys, "g_zeros"),
+                                  ("measure", measure, "measure_truncation"),
+                                  ("joint-spectrum", ghpolys, "g_zeros"),
+                                  ("dos", anderson, "line_ids")])
+def test_depth_over_the_bound_is_refused_before_any_work(capsys, monkeypatch, work):
+    name, module, function = work
+
+    def worked(*args):
+        raise AssertionError("the work began before the depth was checked")
+
+    monkeypatch.setattr(module, function, worked)
+    deepest = cli._DEPTH_MAX
+    code, out, err = _run(capsys, *_COMMANDS[name], "--depth", str(deepest + 1))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == [f"error: depth must be <= {deepest}, got {deepest + 1}"]
+
+
+def test_depth_bound_admits_the_benchmark_depths(capsys):
+    deepest = cli._DEPTH_MAX
+    assert deepest >= 60  # the deepest benchmark command, `ns` aside
+    code, out, _ = _run(capsys, "joint-spectrum", "--grid", "0", "--depth", str(deepest))
+    assert code == EXIT_OK and len(out.splitlines()) == 1 + deepest * (deepest + 1) // 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_to_a_full_device_exits_two(capsys, fmt):
+    # the JSON fits the file's buffer, so it fails only as the file is flushed
+    code, out, err = _run(capsys, "dos", "--mu", "float:0.3", "--sites", "100000",
+                          "--format", fmt, "--out", "/dev/full")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: cannot write --out '/dev/full': No space left on device"]
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--mu", "float:0.3"),
+                                  ("dos", "--mu", "float:0.3", "--sites", "100000")])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_two(argv, unbuffered):
+    # buffered, spectrum's one line fails only when stdout is flushed, and a
+    # second failure in the exit-time flush would print a second message
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(llspec.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # no reader from the start, so every write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "llspec.cli", *argv], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_DOMAIN
+    assert proc.stderr.splitlines() == ["error: cannot write stdout: Broken pipe"]
 
 
 @pytest.mark.parametrize("mu", ["float:1e10", "float:1e20", "float:1e300"])

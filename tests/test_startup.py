@@ -23,7 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # modules that only some commands need
 OPTIONAL = (
-    "llspec.anderson", "llspec.lamplighter", "llspec.novikov", "mpmath", "numpy", "numpy.random",
+    "llspec.anderson", "llspec.lamplighter", "llspec.novikov", "mpmath", "numpy", "numpy.ma",
+    "numpy.random",
 )
 
 
