@@ -29,7 +29,7 @@ from numpy.random import Philox
 
 from .errors import DomainError
 from .jacobi import TridiagonalMatrix, tridiag_eigs_batch
-from .measure import AtomicMeasure, coalesce_tol, measure_cdf_mid, mu_value
+from .measure import AtomicMeasure, coalesce_tol, measure_cdf_mids, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
 _PHILOX_PERIOD_BLOCKS = 2 ** 256
@@ -279,10 +279,10 @@ def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> Compariso
         if positions.size and np.min(np.abs(positions - c)) <= tol:
             raise DomainError(f"checkpoint {c} sits on an atom position")
     if isinstance(empirical, AtomicMeasure):
-        emp_cdf = [measure_cdf_mid(empirical, c) for c in checkpoints]
+        emp_cdf = measure_cdf_mids(empirical, checkpoints.tolist())
     else:
         emp_cdf = [empirical.cdf(c) for c in checkpoints]
-    theo_mid = [measure_cdf_mid(theoretical, c) for c in checkpoints]
+    theo_mid = measure_cdf_mids(theoretical, checkpoints.tolist())
     deviations = [abs(e - t) for e, t in zip(emp_cdf, theo_mid)]
     return ComparisonReport(
         sup_deviation=max(deviations),

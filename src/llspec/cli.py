@@ -68,10 +68,23 @@ def _fmt(x) -> str:
 
 # most points a "lo:hi:count" grid may ask for, checked before any is made
 _GRID_MAX = 10**6
+# most seconds a grid's points may be estimated to take, each estimate within a
+# factor of 3.5 of one-point times measured on 2 cores with one BLAS thread; the
+# default char-poly grid at level 12 (25 LUs of size 4096) is estimated at 52 s
+_GRID_SECONDS_MAX = 60
 
 
-def _parse_grid(spec: str) -> list[float]:
-    """Either "lo:hi:count" (inclusive linspace) or a comma list; every value finite."""
+def _zeros_seconds(depth: int) -> float:
+    """Estimated seconds for the zeros of G_1 .. G_depth at one mu (measured 0.24 s at 200)."""
+    depth = min(depth, 10**6)  # deeper is over the bound at one point, and would overflow
+    return 6e-6 * depth * (depth + 10)
+
+
+def _parse_grid(spec: str, point_seconds: float) -> list[float]:
+    """Either "lo:hi:count" (inclusive linspace) or a comma list; every value finite.
+
+    Refused if its points at `point_seconds` each would take over `_GRID_SECONDS_MAX`.
+    """
     import numpy as np
 
     try:
@@ -92,6 +105,9 @@ def _parse_grid(spec: str) -> list[float]:
             values = [float(v) for v in np.linspace(lo, hi, count)]
     if not all(map(math.isfinite, values)):
         raise DomainError(f"grid values must be finite, got {spec!r}")
+    if len(values) * point_seconds > _GRID_SECONDS_MAX:
+        raise DomainError(f"{len(values)} grid points at an estimated {point_seconds:.2g} s "
+                          f"each exceed the bound of {_GRID_SECONDS_MAX} s")
     return values
 
 
@@ -107,8 +123,8 @@ def _tolerance(text: str) -> float:
 
 
 # deepest --depth of zeros, measure, joint-spectrum and dos; their work grows
-# faster than depth^2: on 2 cores the slowest, `dos --check` at one mu, took
-# 3.3 s at depth 200 and 17 s at 400
+# faster than depth^2: on 2 cores the slowest, `zeros --check` at one mu, took
+# 1.0 s at depth 200 and 6.0 s at 400 (`dos --check`: 1.0 s and 3.7 s)
 _DEPTH_MAX = 200
 
 
@@ -161,7 +177,9 @@ def _cmd_char_poly(args) -> _Result:
     from . import lamplighter
 
     mu = measure.mu_value(measure.parse_mu(args.mu))
-    grid = _parse_grid(args.grid)
+    lamplighter._check_level(args.level)  # bounds 8^level below
+    # one LU a point: measured 8.2 ms at level 9, 0.22 s at 11, 0.9 s at 12
+    grid = _parse_grid(args.grid, 1e-4 + 3e-11 * 8.0**args.level)
     rows = []
     for lam in grid:
         s_det, l_det = lamplighter.phi_det_signlog(args.level, lam, mu)
@@ -271,7 +289,7 @@ def _cmd_multiplicity(args) -> _Result:
     from . import lamplighter
 
     mu = measure.parse_mu(args.mu)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, _zeros_seconds(args.level))
     # below, a DomainError of multiplicity_in_phi means "not a root", so the
     # level and the same-point tolerance at mu are checked here
     if args.level < 1:
@@ -303,7 +321,7 @@ def _cmd_joint_spectrum(args) -> _Result:
     depth = _depth(args.depth)
     rows = []
     ok = True
-    for mu in _parse_grid(args.grid):
+    for mu in _parse_grid(args.grid, _zeros_seconds(depth)):
         onset = jacobi.critical_index(mu) if abs(mu) > 1 else None
         tol = measure.coalesce_tol(mu)
         for k in range(1, depth + 1):

@@ -25,13 +25,19 @@ of the colliding polynomials:
     no limiting mass, so the atom keeps 2^-(k+1).
 
 The three classes are labelled B1/B2/B3 throughout the API.  Membership is
-decided exactly for structured parameter forms and by bounded scans (flagged
-as heuristic) for bare floats; B1 is dense in the reals, so no finite
-procedure can decide it unconditionally.
+decided exactly for the structured forms and for every rational, whose only
+B1 and B2 members are 0 and +-1: a rational cosine of a rational angle is
+0, +-1/2 or +-1 (Niven), and a rational ratio of sines of rational angles
+is +-1, +-2 or +-1/2 (Conway & Jones).  A bare float is compared with the
+members that bounded scans reach and flagged as heuristic; B1 is dense in
+the reals, so no finite procedure can decide it unconditionally.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +65,7 @@ __all__ = [
     "atom_mass_exact",
     "multiplicity_in_phi",
     "ids_cdf",
-    "measure_cdf_mid",
+    "measure_cdf_mids",
     "measure_to_json",
 ]
 
@@ -277,144 +283,82 @@ def _group_zeros(x: float, kmax: int, tol: float):
     return out
 
 
-def _progression_of(indices) -> tuple[int, int]:
-    """(first index, common step) of an observed family of two or more indices."""
-    diffs = {b - a for a, b in zip(indices, indices[1:])}
-    if len(diffs) != 1:
-        raise DomainError(f"collision indices {indices} are not an arithmetic progression")
-    return indices[0], diffs.pop()
-
-
-def _recover_angle(x: float, pos: float, step: int):
-    """Rational angle p/q (of pi) for an in-band collision atom, or None."""
-    c = (-pos - x) / 4.0
-    if not -1.0 < c < 1.0:
-        return None
-    t = math.acos(c) / math.pi
-    frac = Fraction(t).limit_denominator(step)
-    if frac.denominator != step or not 0 < frac.numerator < step:
-        return None
-    if abs(t - float(frac)) > 1e-6:
-        return None
-    return frac.numerator, step
-
-
-def _b1_identity_holds(mu_exact: Fraction, p: int, q: int, n0: int) -> bool:
-    """Exact check of sin((n0+1) t) + mu sin(n0 t) = 0 at t = p pi / q.
-
-    Verified at 60 digits; for bounded p, q, n0 and rational mu of moderate
-    height a nonzero value of this algebraic number cannot be below 1e-45,
-    so the numeric test is conclusive.
-    """
-    import mpmath as mp  # only rational witnesses need it; most commands never load it
-
-    with mp.workdps(60):
-        t = mp.pi * p / q
-        val = mp.sin((n0 + 1) * t) + mp.mpf(mu_exact.numerator) / mu_exact.denominator * mp.sin(n0 * t)
-        return abs(val) < mp.mpf(10) ** -45
-
-
-# exact rational members of B1/B2 with their witnesses
-_RATIONAL_B1 = {
-    Fraction(0): (1, 2, 1),
-    Fraction(1): (2, 3, 1),
-    Fraction(-1): (1, 3, 1),
-}
+# exact rational members of B1/B2 with their witnesses.  A rational mu in B1
+# other than 0 makes -mu = sin((n+1) t) / sin(n t), t = p pi/q, a rational
+# ratio of sines of rational multiples of pi: +-1, or +-2 and +-1/2 with sines
+# of size 1 and 1/2 (Conway & Jones, Acta Arith. 30, 1976).  +-1 gives
+# mu = +-1; the others need t = +-pi/3 mod pi, where sin(n t) is 0 or
+# +-sqrt(3)/2, so they never occur.  A rational 2 cos(j pi/(k+1)) is 0, +-1
+# or +-2 (Niven), and +-2 is not a zero of U_k(./2).
+_RATIONAL_B1 = {Fraction(0): (1, 2, 1), Fraction(1): (2, 3, 1), Fraction(-1): (1, 3, 1)}
 _RATIONAL_B2 = {Fraction(0): 1, Fraction(1): 2, Fraction(-1): 2}
 
 
 # bounded scans behind the heuristic answers: indices 1.._SCAN_DEPTH, and how
-# close a float must come to 1 + 1/k or to a zero of U_k
+# close a float must come to a member of B1, to 1 + 1/k or to a zero of U_k
 _SCAN_DEPTH = 20
 _SCAN_TOL = 1e-9
+
+
+@functools.cache
+def _b1_scan_members() -> list[tuple[tuple[int, int, int], float]]:
+    """((n0, q, p), value) of each B1Mu(p, q, n0) with n0 + q <= _SCAN_DEPTH, least first.
+
+    At such a point G_n0 and G_(n0+q) share a zero, so these are the
+    collisions that G_1.._SCAN_DEPTH show.
+    """
+    return sorted(((n0, q, p), mu_value(B1Mu(p, q, n0)))
+                  for q in range(2, _SCAN_DEPTH) for p in range(1, q) if math.gcd(p, q) == 1
+                  for n0 in range(1, min(q, _SCAN_DEPTH - q + 1)))
+
+
+def _b2_scan(x: float) -> int | None:
+    """Least k <= _SCAN_DEPTH with U_k(-x/2) within _SCAN_TOL of 0, or None."""
+    return next((k for k in range(1, _SCAN_DEPTH + 1) if abs(u_eval(k, -x / 2.0)) < _SCAN_TOL),
+                None)
 
 
 def classify_mu(mu: MuParam) -> MuClassification:
     """Decide B1/B2/B3 membership with witnesses.
 
-    Structured forms are decided exactly where possible (B1Mu/B2Mu by
-    construction, rationals by consecutive-integer and rational-cosine
-    arguments); everything that rests on a bounded numeric scan sets the
-    heuristic flag.
+    Each form is decided by one rule.  B1Mu and B2Mu are members by
+    construction, and a rational is decided exactly: its B1/B2 memberships
+    are the tables above and B3 is mu = 1 + 1/k.  A float is compared with
+    the members the bounded scans can see, and so is the B2 membership of a
+    B1Mu that its construction leaves open; the heuristic flag is set exactly
+    when a scan ran.
     """
-    x = mu_value(mu)
+    b1 = b2 = b3 = None
     heuristic = False
-
-    in_b3, b3_w = False, None
-    frac = mu_fraction(mu)
-    if frac is not None:
+    if isinstance(mu, RationalMu):
+        frac = mu.fraction
+        b1, b2 = _RATIONAL_B1.get(frac), _RATIONAL_B2.get(frac)
         if frac > 1 and (frac - 1).numerator == 1:
-            in_b3, b3_w = True, (frac - 1).denominator
+            b3 = (frac - 1).denominator
     elif isinstance(mu, B2Mu):
-        pass  # 2cos(j pi/(k+1)) is rational only for 0, +-1, never 1 + 1/k
-    elif x > 1.0 + _SCAN_TOL:
-        k = round(1.0 / (x - 1.0))
-        if 1 <= k <= 10 ** 6 and abs(x - 1.0 - 1.0 / k) < _SCAN_TOL:
-            in_b3, b3_w = True, k
-            heuristic = True
-
-    in_b2, b2_w = False, None
-    if isinstance(mu, B2Mu):
+        # 2cos(j pi/(k+1)) is rational only at 0 and +-1, so never 1 + 1/k; the
+        # atom at lam = mu recurs: angle pi - j pi/(k+1), first index 1
         d = math.gcd(mu.j, mu.k + 1)
-        in_b2, b2_w = True, (mu.k + 1) // d - 1
-    elif isinstance(mu, B1Mu) and (mu.n - 1) % mu.q == 0:
-        # n = 1 mod q collapses the value to -2cos(p pi/q), whose lam = mu
-        # atom recurs with step q; minimal Chebyshev index is q - 1
-        in_b2, b2_w = True, mu.q - 1
-    elif frac is not None:
-        if frac in _RATIONAL_B2:
-            in_b2, b2_w = True, _RATIONAL_B2[frac]
-        # other rationals are excluded exactly: a rational cosine of a
-        # rational angle is 0, +-1/2 or +-1, and +-1 is never a U-zero
-    else:
-        heuristic = True  # bounded scan either way
-        for k in range(1, _SCAN_DEPTH + 1):
-            if abs(u_eval(k, -x / 2.0)) < _SCAN_TOL:
-                in_b2, b2_w = True, k
-                break
-
-    in_b1, b1_w = False, None
-    if isinstance(mu, B1Mu):
-        in_b1, b1_w = True, (mu.p, mu.q, (mu.n - 1) % mu.q + 1)
-    elif isinstance(mu, B2Mu):
-        # the atom at lam = mu recurs: angle pi - j pi/(k+1), first index 1
-        d = math.gcd(mu.j, mu.k + 1)
-        in_b1, b1_w = True, ((mu.k + 1 - mu.j) // d, (mu.k + 1) // d, 1)
-    elif frac is not None and frac in _RATIONAL_B1:
-        in_b1, b1_w = True, _RATIONAL_B1[frac]
-    else:
-        collisions = [
-            (pos, ks)
-            for pos, ks in _group_zeros(x, _SCAN_DEPTH, coalesce_tol(x))
-            if len(ks) >= 2
-        ]
-        witnesses = []
-        for pos, ks in collisions:
-            k0, step = _progression_of(ks)
-            angle = _recover_angle(x, pos, step)
-            if angle is None:
-                continue
-            p, q = angle
-            if frac is not None and not _b1_identity_holds(frac, p, q, k0):
-                continue
-            witnesses.append((k0, q, p))
-        if witnesses:
-            k0, q, p = min(witnesses)
-            in_b1, b1_w = True, (p, q, k0)
-            if frac is None:
-                heuristic = True  # float witnesses rest on tolerance alone
+        b1, b2 = ((mu.k + 1 - mu.j) // d, (mu.k + 1) // d, 1), (mu.k + 1) // d - 1
+    elif isinstance(mu, B1Mu):
+        # B1 holds no 1 + 1/k (the rational members are 0 and +-1)
+        b1 = (mu.p, mu.q, (mu.n - 1) % mu.q + 1)
+        if (mu.n - 1) % mu.q == 0:
+            # the value collapses to -2cos(p pi/q), whose lam = mu atom
+            # recurs with step q; minimal Chebyshev index is q - 1
+            b2 = mu.q - 1
         else:
-            heuristic = True  # bounded scan found nothing; not a proof
-
-    return MuClassification(
-        in_b1=in_b1,
-        in_b2=in_b2,
-        in_b3=in_b3,
-        heuristic=heuristic,
-        b1_witness=b1_w,
-        b2_witness=b2_w,
-        b3_witness=b3_w,
-    )
+            b2, heuristic = _b2_scan(mu_value(mu)), True
+    else:
+        x, heuristic = mu_value(mu), True
+        if x > 1.0 + _SCAN_TOL:
+            k = round(1.0 / (x - 1.0))
+            if 1 <= k <= 10 ** 6 and abs(x - 1.0 - 1.0 / k) < _SCAN_TOL:
+                b3 = k
+        b2 = _b2_scan(x)
+        b1 = next(((p, q, n0) for (n0, q, p), value in _b1_scan_members()
+                   if abs(x - value) < _SCAN_TOL), None)
+    return MuClassification(b1 is not None, b2 is not None, b3 is not None, heuristic, b1, b2, b3)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +522,17 @@ def ids_cdf(measure: AtomicMeasure, x: float) -> tuple[Fraction, Fraction]:
     return lo, lo + measure.tail_mass
 
 
-def measure_cdf_mid(measure: AtomicMeasure, x: float) -> float:
-    lo, hi = ids_cdf(measure, x)
-    return float(lo + hi) / 2.0
+def measure_cdf_mids(measure: AtomicMeasure, xs) -> list[float]:
+    """Midpoint of the `ids_cdf` bounds at each point of xs, in one pass over the atoms.
+
+    The atoms are sorted by position once and their masses summed as they
+    come, so each point costs one bisection, not a sum over every atom.
+    """
+    atoms = sorted(measure.atoms, key=lambda a: a.position)
+    positions = [a.position for a in atoms]
+    below = list(itertools.accumulate((a.mass for a in atoms), initial=Fraction(0)))
+    return [float(2 * below[bisect.bisect_right(positions, x)] + measure.tail_mass) / 2.0
+            for x in xs]
 
 
 def measure_to_json(measure: AtomicMeasure) -> dict:

@@ -627,6 +627,46 @@ def test_malformed_grid_exits_two(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, module, function",
+    [
+        (("joint-spectrum", "--depth", "200", "--grid=-3:3:1000000"), ghpolys, "g_zeros"),
+        (("joint-spectrum", "--depth", "8", "--grid=-3:3:1000000"), ghpolys, "g_zeros"),
+        (("char-poly", "--level", "12", "--mu", "float:0.3", "--grid=-6:6:1000000"),
+         lamplighter, "phi_det_signlog"),
+        (("char-poly", "--level", "12", "--mu", "float:0.3", "--grid=-6:6:30"),
+         lamplighter, "phi_det_signlog"),
+        (("multiplicity", "--level", "12", "--mu", "float:0.3", "--grid=-6:6:1000000"),
+         measure, "multiplicity_in_phi"),
+        (("multiplicity", "--level", "100000", "--mu", "float:0.3", "--grid", "0"),
+         measure, "multiplicity_in_phi"),
+        (("multiplicity", "--level", str(10**400), "--mu", "float:0.3", "--grid", "0"),
+         measure, "multiplicity_in_phi"),
+    ],
+    ids=["joint-d200", "joint-d8", "char-poly-l12", "char-poly-l12-g30", "mult-l12",
+         "mult-l100000", "mult-l1e400"],
+)
+def test_grid_over_the_work_bound_is_refused_before_any_work(capsys, monkeypatch, argv,
+                                                             module, function):
+    def worked(*args):
+        raise AssertionError("the work began before the grid was checked")
+
+    monkeypatch.setattr(module, function, worked)
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"exceed the bound of {cli._GRID_SECONDS_MAX} s" in err
+
+
+def test_grid_bound_admits_the_default_grid_at_the_level_cap(capsys, monkeypatch):
+    monkeypatch.delenv("LLSPEC_NMAX", raising=False)
+    for function in ("phi_det_signlog", "phi_factorized_signlog"):  # skip the 25 LUs
+        monkeypatch.setattr(lamplighter, function, lambda n, lam, mu: (1.0, 0.0))
+    code, out, _ = _run(capsys, "char-poly", "--level", str(lamplighter.level_cap()),
+                        "--mu", "float:0.3")
+    assert code == EXIT_OK and len(out.splitlines()) == 1 + 25
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("zeros", "--mu", "float:0.3", "--depth", "-3", "--check"),

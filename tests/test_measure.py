@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llspec import measure
 from llspec.errors import DomainError
 from llspec.ghpolys import g_value, g_zeros
 from llspec.lamplighter import build_level, dense_eigs, pencil_matrix
@@ -21,6 +22,7 @@ from llspec.measure import (
     classify_mu,
     format_mu,
     ids_cdf,
+    measure_cdf_mids,
     measure_to_json,
     measure_truncation,
     multiplicity_in_phi,
@@ -162,6 +164,71 @@ def test_classify_floats_are_heuristic():
     c1f = classify_mu(FloatMu(1.0))
     assert c1f.in_b2 and c1f.b2_witness == 2
     assert not classify_mu(FloatMu(1.0 + 4e-16)).in_b3  # epsilon above 1
+
+
+def test_b1_values_near_small_fractions_are_zero_or_plus_minus_one():
+    # the evidence behind the rational table: a B1 value is a ratio of sines at
+    # rational multiples of pi, rational only at 0 and +-1 (Conway & Jones);
+    # the value depends on n modulo q, so n = 1 .. q - 1 covers every member
+    near = set()
+    for q in range(2, 61):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            for n in range(1, q):
+                x = mu_value(B1Mu(p, q, n))
+                frac = Fraction(x).limit_denominator(1000)
+                if abs(x - frac) < 1e-12:
+                    near.add(frac)
+    assert near == {Fraction(-1), Fraction(0), Fraction(1)}
+
+
+def _memberships(c):
+    return c.in_b1, c.in_b2, c.in_b3, c.b1_witness, c.b2_witness, c.b3_witness
+
+
+def test_rationals_are_exact_and_agree_with_their_floats():
+    cases = 0
+    for q in range(1, 41):
+        for p in range(-160, 161):
+            if math.gcd(p, q) != 1:
+                continue
+            exact = classify_mu(RationalMu(p, q))
+            assert not exact.heuristic, (p, q)
+            assert _memberships(exact) == _memberships(classify_mu(FloatMu(p / q))), (p, q)
+            cases += 1
+    assert cases == 7821
+
+
+@pytest.mark.parametrize("x", [1e4, 1e5, 1e8, 1e10, -1e8])
+def test_large_floats_are_not_b1(x):
+    # far outside [-6, 6], where the B1 values the scan can see lie
+    c = classify_mu(FloatMu(x))
+    assert not c.in_b1 and c.b1_witness is None and c.heuristic
+
+
+def test_scanned_b1_members_are_found_from_their_floats():
+    for (n0, q, p), value in measure._b1_scan_members():
+        assert classify_mu(B1Mu(p, q, n0)).b1_witness == (p, q, n0)
+        c = classify_mu(FloatMu(value))
+        assert c.in_b1 and c.heuristic
+        # the least witness of the value, which may belong to another member
+        w_p, w_q, w_n0 = c.b1_witness
+        assert (w_n0, w_q, w_p) <= (n0, q, p)
+        assert abs(mu_value(B1Mu(w_p, w_q, w_n0)) - value) < 1e-9
+    # G_2 and G_21 first share the zero of B1Mu(1, 19, 2), beyond the scan's depth of 20
+    assert not classify_mu(FloatMu(mu_value(B1Mu(1, 19, 2)))).in_b1
+    x = mu_value(B1Mu(1, 4, 2))
+    assert classify_mu(FloatMu(x + 1e-10)).b1_witness == (1, 4, 2)
+    assert not classify_mu(FloatMu(x + 1e-8)).in_b1
+
+
+def test_heuristic_flag_is_set_exactly_when_a_scan_runs():
+    assert not classify_mu(B2Mu(1, 4)).heuristic
+    assert not classify_mu(B1Mu(1, 4, 5)).heuristic  # n = 1 mod q: B2 by construction
+    b1 = classify_mu(B1Mu(1, 4, 6))  # B2 membership needs the U_k scan
+    assert b1.heuristic and not b1.in_b3
+    assert classify_mu(FloatMu(7.0)).heuristic
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +407,14 @@ def test_cdf_symmetry_at_flat_parameter():
     m = measure_truncation(RationalMu(0, 1), 9)
     lo, hi = ids_cdf(m, 0.0)
     assert lo >= Fraction(1, 2) - m.tail_mass
+
+
+@pytest.mark.parametrize("mu", [RationalMu(1, 1), FloatMu(0.3), RationalMu(2, 1)])
+def test_cdf_mids_match_ids_cdf_on_and_between_atoms(mu):
+    m = measure_truncation(mu, 12)
+    positions = sorted(a.position for a in m.atoms)
+    xs = [-20.0, *positions, *(0.5 * (a + b) for a, b in zip(positions, positions[1:])), 20.0]
+    assert measure_cdf_mids(m, xs) == [float(sum(ids_cdf(m, x))) / 2.0 for x in xs]
 
 
 def test_json_serialization():

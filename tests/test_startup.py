@@ -85,6 +85,13 @@ def test_refused_arguments_load_no_optional_module():
     assert _loaded_after(code) == []
 
 
+@pytest.mark.parametrize("mu", ["RationalMu(7, 6)", "FloatMu(0.3)"])
+def test_classification_loads_no_optional_module(mu):
+    # rationals are decided from tables, floats by scans in plain Python
+    code = f"from llspec.measure import FloatMu, RationalMu, classify_mu\nclassify_mu({mu})"
+    assert _loaded_after(code) == []
+
+
 def test_public_names_resolve_to_the_submodule_objects():
     # the table behind dir(llspec), which tests/test_api.py pins name by name
     for name, module in llspec._SUBMODULE_OF.items():
