@@ -2,10 +2,10 @@
 
 Library layout:
 
-  chebyshev    second-kind Chebyshev evaluation, ratio limits, zeros
+  chebyshev    second-kind Chebyshev evaluation and zeros
   lamplighter  level matrices, pencil determinants, dense eigen oracle
   ghpolys      the level polynomial family G_k/H_k in three realizations
-  jacobi       J*(mu) truncations, tridiagonal eigenvalues, m-function, outlier index
+  jacobi       J*(mu) truncations, tridiagonal eigenvalues, Sturm counts, outlier index
   measure      atomic spectral measure, exceptional-set mass calculus
   anderson     random Jacobi operator, empirical density of states
   novikov      gap decay at the accumulation point, power-law exponent
@@ -23,13 +23,13 @@ from importlib import import_module as _import_module
 _SUBMODULE_OF = {
     name: module
     for module, names in {
-        "chebyshev": ("u_eval", "u_ratio_limit", "u_zeros"),
+        "chebyshev": ("u_eval", "u_zeros"),
         "errors": ("CapacityError", "ConvergenceError", "DomainError", "InsufficientDataError"),
         "ghpolys": ("angular_form", "g_value", "g_value_recursive", "g_zeros"),
         "jacobi": (
             "SpectrumDescription", "TridiagonalMatrix", "ac_density", "critical_index",
-            "eig_count_below", "isolated_eigenvalue", "isolated_mass", "jstar_spectrum",
-            "jstar_truncation", "m_function", "pencil_spectrum", "tridiag_eigs",
+            "isolated_eigenvalue", "isolated_mass", "jstar_spectrum", "jstar_truncation",
+            "pencil_spectrum", "tridiag_eigs",
         ),
         "lamplighter": (
             "LevelRep", "PencilMatrix", "build_level", "dense_eigs", "level_cap",
@@ -37,8 +37,8 @@ _SUBMODULE_OF = {
         ),
         "measure": (
             "Atom", "AtomicMeasure", "B1Mu", "B2Mu", "FloatMu", "MuParam", "RationalMu",
-            "atom_mass_exact", "classify_mu", "format_mu", "ids_cdf", "measure_truncation",
-            "multiplicity_in_phi", "mu_value", "parse_mu",
+            "classify_mu", "format_mu", "measure_truncation", "multiplicity_in_phi",
+            "mu_value", "parse_mu",
         ),
         "anderson": (
             "DisorderWindow", "EmpiricalIDS", "JacobiSample", "block_decompose",

@@ -71,18 +71,6 @@ def u_eval(n: int, x):
     return _ldexp_safe(cur, e)
 
 
-def u_ratio_limit(x: float) -> float:
-    """Limit of U_n(x)/U_{n+1}(x) for |x| > 1, namely 1/(x + sqrt(x^2 - 1)).
-
-    The square root carries the sign of x (analytic continuation off the
-    branch cut [-1, 1]), which forces |result| < 1 on both components.
-    """
-    x = float(x)
-    if abs(x) <= 1.0:
-        raise DomainError("ratio limit requires |x| > 1")
-    return 1.0 / (x + math.copysign(math.sqrt(x * x - 1.0), x))
-
-
 def u_zeros(n: int) -> list[float]:
     """The n zeros of U_n, i.e. cos(j*pi/(n+1)) for j = 1..n, ascending."""
     if n < 1:

@@ -15,8 +15,10 @@ spectrum exits 3 when its acceptance bound is breached; --tol sets that bound
 and nothing else (measure, multiplicity and joint-spectrum have none: they
 decide by exact masses and `measure.coalesce_tol`).  Domain and capacity
 errors, an --out path that cannot be opened and a failed write exit 2, and a
-solver that fails to converge exits 4.  The level cap honors the LLSPEC_NMAX
-variable.
+solver that fails to converge exits 4.  The level cap (LLSPEC_NMAX) and the
+memory budget bind only the commands that build a level matrix: char-poly,
+eigs and multiplicity --check; plain multiplicity evaluates only the
+factorization, which the grid work bound alone limits.
 
 Each handler returns what it computed as a `_Result`; `main` alone writes it,
 as CSV or JSON, and maps it to the exit code.
@@ -295,6 +297,8 @@ def _cmd_multiplicity(args) -> _Result:
     if args.level < 1:
         raise DomainError("level must be >= 1")
     tol = measure.coalesce_tol(measure.mu_value(mu))
+    # only the check builds the level matrix, so only it is held to the level
+    # cap and the memory budget; the factorization alone is bounded by the grid
     if args.check:
         rep = lamplighter.build_level(args.level)
         eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, measure.mu_value(mu)))

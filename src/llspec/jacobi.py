@@ -14,13 +14,12 @@ for every truncation at once, which the tests check the eigenvalues against.
 Only the matrix code (`TridiagonalMatrix`, `jstar_truncation`, the
 eigenvalue kernels and the Sturm count) imports numpy, inside the functions
 that use it; the closed forms (`pencil_spectrum`, `jstar_spectrum`,
-`critical_index`, `m_function`, `ac_density`) are plain Python, so the
-commands that need only them start without numpy.
+`critical_index`, `ac_density`) are plain Python, so the commands that
+need only them start without numpy.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,15 +125,6 @@ def tridiag_eigs(t: TridiagonalMatrix) -> np.ndarray:
     return tridiag_eigs_batch(t.diag[None, :], t.offdiag[None, :])[0]
 
 
-def eig_count_below(t: TridiagonalMatrix, x: float) -> int:
-    """Sturm count of eigenvalues of t below x.
-
-    Monotone staircase in x; when x hits an eigenvalue of a leading principal
-    submatrix exactly, the zero pivot is counted on the "below" side.
-    """
-    return int(leading_counts_below(t, x)[-1])
-
-
 def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
     """Eigenvalue counts below x for every leading principal truncation.
 
@@ -202,35 +192,6 @@ def ac_density(x: float, mu: float) -> float:
     if denom == 0.0:
         raise DomainError("density pole touches the band endpoint at |mu| = 1")
     return math.sqrt(max(4.0 - (x - mu / 2.0) ** 2, 0.0)) / (2.0 * math.pi * denom)
-
-
-def _sqrt_band_branch(w: complex) -> complex:
-    """sqrt(w^2 - 4) with cut on [-2, 2], positive to the right of the cut.
-
-    Realized as sqrt(w - 2) * sqrt(w + 2) with principal roots, which behaves
-    like +w at +infinity and like -|w| on (-inf, -2).
-    """
-    return cmath.sqrt(w - 2.0) * cmath.sqrt(w + 2.0)
-
-
-def m_function(z: complex, mu: float) -> complex:
-    """Stieltjes transform of the J*(mu) measure at z off the band.
-
-    Built from the unperturbed band transform m0(z) = (-(z - mu/2) +
-    sqrt((z - mu/2)^2 - 4)) / 2 through one step of the continued fraction:
-    m(z) = 1 / (-mu/2 - z - m0(z)).  Herglotz branch: Im m > 0 for Im z > 0.
-    """
-    z = complex(z)
-    mu = float(mu)
-    lo, hi = jstar_band(mu)
-    if z.imag == 0.0 and lo <= z.real <= hi:
-        raise DomainError("m-function is not defined on the band")
-    w = z - mu / 2.0
-    m0 = (-w + _sqrt_band_branch(w)) / 2.0
-    denom = -mu / 2.0 - z - m0
-    if denom == 0.0:
-        raise DomainError("evaluation at the mass point of the measure")
-    return 1.0 / denom
 
 
 def critical_index(mu) -> int:

@@ -62,9 +62,7 @@ __all__ = [
     "Atom",
     "AtomicMeasure",
     "measure_truncation",
-    "atom_mass_exact",
     "multiplicity_in_phi",
-    "ids_cdf",
     "measure_cdf_mids",
     "measure_to_json",
 ]
@@ -430,59 +428,6 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     return AtomicMeasure(mu=mu, depth=depth, atoms=tuple(atoms), tail_mass=tail_mass(depth))
 
 
-def atom_mass_exact(mu: MuParam, atom_class: str, **params) -> Fraction:
-    """Closed-form limiting mass of one atom, as an exact rational.
-
-    Classes and their parameters:
-      generic      index=j     : 2^-(j+1)          (sole zero of G_j)
-      delta_mu                 : 1/4               (lam = mu, non-recurring)
-      B1_merged    n0=, q=     : 2^q / (2^(n0+1) (2^q - 1))
-      B2_merged    k=          : 1/4 + 1/(4 (2^(k+1) - 1))
-      B3_endpoint  k=          : 2^-(k+1)          (atom at 4 - mu)
-
-    The parameter must be structured (not FloatMu) and the witnesses must
-    match its classification; inconsistent witnesses raise with a diagnostic.
-    """
-    if isinstance(mu, FloatMu):
-        raise DomainError("exact masses require a structured parameter form")
-    cls = classify_mu(mu)
-    if atom_class == "generic":
-        j = params.get("index")
-        if j is None or j < 1:
-            raise DomainError("generic atom mass needs index=j >= 1")
-        return Fraction(1, 2 ** (j + 1))
-    if atom_class == "delta_mu":
-        if cls.in_b2:
-            raise DomainError(
-                "the atom at lam = mu recurs for this parameter; use B2_merged"
-            )
-        return Fraction(1, 4)
-    if atom_class == "B1_merged":
-        n0, q = params.get("n0"), params.get("q")
-        if n0 is None or q is None:
-            raise DomainError("B1 atom mass needs witnesses n0= and q=")
-        if not cls.in_b1:
-            raise DomainError("parameter is not a B1 collision point")
-        return Fraction(2 ** q, 2 ** (n0 + 1) * (2 ** q - 1))
-    if atom_class == "B2_merged":
-        k = params.get("k")
-        if k is None:
-            raise DomainError("B2 atom mass needs the minimal index k=")
-        if not cls.in_b2 or cls.b2_witness != k:
-            raise DomainError(
-                f"witness k={k} does not match the classification {cls.b2_witness}"
-            )
-        return Fraction(1, 4) + Fraction(1, 4 * (2 ** (k + 1) - 1))
-    if atom_class == "B3_endpoint":
-        k = params.get("k")
-        if k is None:
-            raise DomainError("B3 atom mass needs k= with mu = 1 + 1/k")
-        if not cls.in_b3 or cls.b3_witness != k:
-            raise DomainError(f"witness k={k} does not match the classification")
-        return Fraction(1, 2 ** (k + 1))
-    raise DomainError(f"unknown atom class {atom_class!r}")
-
-
 def multiplicity_in_phi(n: int, lam: float, mu: MuParam) -> int:
     """Multiplicity of lam as a root of the level-n determinant.
 
@@ -512,21 +457,12 @@ def multiplicity_in_phi(n: int, lam: float, mu: MuParam) -> int:
     return mult
 
 
-def ids_cdf(measure: AtomicMeasure, x: float) -> tuple[Fraction, Fraction]:
-    """Exact bounds [lo, hi] on the distribution function N(x) at depth K.
-
-    lo collects the truncated atoms at positions <= x; the uncollected tail
-    could sit anywhere, so hi = lo + tail_mass.
-    """
-    lo = sum((a.mass for a in measure.atoms if a.position <= x), Fraction(0))
-    return lo, lo + measure.tail_mass
-
-
 def measure_cdf_mids(measure: AtomicMeasure, xs) -> list[float]:
-    """Midpoint of the `ids_cdf` bounds at each point of xs, in one pass over the atoms.
+    """Midpoints of the exact bounds [lo, lo + tail_mass] on N(x) at the points xs.
 
-    The atoms are sorted by position once and their masses summed as they
-    come, so each point costs one bisection, not a sum over every atom.
+    lo is the mass of the atoms at or below x; the tail could sit anywhere.
+    The atoms are sorted once and summed as they come, so each point costs
+    one bisection, not a sum over every atom.
     """
     atoms = sorted(measure.atoms, key=lambda a: a.position)
     positions = [a.position for a in atoms]

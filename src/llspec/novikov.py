@@ -5,7 +5,9 @@ distance |x_m - (mu + 2/mu)| decays like mu^(-2m).  Since the spectral
 measure places mass 2^-m on [x_m, mu + 2/mu], the distribution function
 gains mass ~ 2^-m over a window of length ~ mu^(-2m); the resulting
 power-law exponent (the Novikov-Shubin invariant of the recentered operator)
-is log 2 / (2 log mu).
+is log 2 / (2 log mu).  For mu < -1 everything mirrors through
+G_k(-lam, -mu) = (-1)^k G_k(lam, mu): the smallest zero descends to
+mu + 2/mu with the gaps of |mu|, and the exponent is log 2 / (2 log |mu|).
 
 The gaps fall below double resolution around m >= 35 already at mu = 2, and
 far below any fixed compound-double format at the depths needed here (a
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -210,12 +212,19 @@ def _outlier_zero_mp(mu, m: int) -> GapEntry:
 
 
 def gap_sequence(mu, M: int) -> GapSequence:
-    """Gaps |x_m - (mu + 2/mu)| for m from the critical index up to M."""
+    """Gaps |x_m - (mu + 2/mu)| for m from the critical index up to M, |mu| > 1.
+
+    A mu below -1 is solved at |mu|, then each x_m and the target are negated.
+    """
     muf = float(mu)
-    if muf <= 1.0:
-        raise DomainError("gap sequence requires mu > 1")
-    if muf > _MU_MAX:
-        raise DomainError(f"gap sequence requires mu <= {_MU_MAX:g}, got {muf:g}")
+    if abs(muf) <= 1.0:
+        raise DomainError("gap sequence requires |mu| > 1")
+    if abs(muf) > _MU_MAX:
+        raise DomainError(f"gap sequence requires |mu| <= {_MU_MAX:g}, got {muf:g}")
+    if muf < 0.0:
+        seq = gap_sequence(-mu, M)
+        return GapSequence(mu=muf, target=-seq.target,
+                           entries=tuple(replace(e, x_m=-e.x_m) for e in seq.entries))
     start = critical_index(mu if isinstance(mu, Fraction) else muf)
     if M < start + 5:
         raise DomainError(f"need M >= {start + 5} for a usable sequence")
@@ -258,14 +267,14 @@ def decay_rate(seq: GapSequence) -> float:
 def ns_invariant(mu, M: int = 60, seq: GapSequence | None = None) -> NsInvariant:
     """Closed-form and regression estimates of the power-law exponent.
 
-    closed_form = log 2 / (2 log mu).  The empirical value regresses the
+    closed_form = log 2 / (2 log |mu|).  The empirical value regresses the
     accumulated mass exponent log(2^-m) on the interval-length exponent
     log(gap_m) over the tail window of a depth-M gap sequence.  A caller that
     already holds `gap_sequence(mu, M)` passes it as `seq` to skip rebuilding.
     """
-    muf = float(mu)
+    muf = abs(float(mu))
     if muf <= 1.0:
-        raise DomainError("the exponent is defined for mu > 1")
+        raise DomainError("the exponent is defined for |mu| > 1")
     closed = _LN2 / (2.0 * math.log(muf))
     if seq is None:
         seq = gap_sequence(mu, M)

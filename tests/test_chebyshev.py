@@ -1,4 +1,4 @@
-"""Chebyshev kernel: recurrence, trig oracle, ratio limit, zeros."""
+"""Chebyshev kernel: recurrence, trig oracle, ratio convergence, zeros."""
 
 import math
 from fractions import Fraction
@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llspec.chebyshev import u_eval, u_ratio_limit, u_zeros
-from llspec.errors import DomainError
+from llspec.chebyshev import u_eval, u_zeros
 
 
 def test_low_degree_values():
@@ -55,23 +54,10 @@ def test_no_overflow_in_contract_range():
     assert abs(u_eval(200, 10.0)) > 1e250
 
 
-def test_ratio_limit_values():
-    assert u_ratio_limit(1.25) == 0.5
-    assert u_ratio_limit(-1.25) == -0.5
-    assert abs(u_ratio_limit(1.0001)) < 1.0
-    assert abs(u_ratio_limit(-1.0001)) < 1.0
-
-
-def test_ratio_limit_domain():
-    for x in (1.0, -1.0, 0.3):
-        with pytest.raises(DomainError):
-            u_ratio_limit(x)
-
-
 def test_ratio_limit_matches_recurrence():
     n = 40
     ratio = u_eval(n, 2.0) / u_eval(n + 1, 2.0)
-    assert abs(ratio - u_ratio_limit(2.0)) < 1e-10
+    assert abs(ratio - (2.0 - math.sqrt(3.0))) < 1e-10
 
 
 @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(2), Fraction(-5, 4)])

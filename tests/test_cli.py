@@ -436,7 +436,7 @@ def test_ns_large_mu_is_certified_or_refused(capsys):
     # past 1e150 the decay rate mu^-2 would underflow a double
     code, out, err = _run(capsys, "ns", "--mu", "float:1e200", "--depth", "10", "--check")
     assert code == EXIT_DOMAIN and out == ""
-    assert err.splitlines() == ["error: gap sequence requires mu <= 1e+150, got 1e+200"]
+    assert err.splitlines() == ["error: gap sequence requires |mu| <= 1e+150, got 1e+200"]
     # the default depth at 1e150 would run for over a minute; refused before any mp work
     code, out, err = _run(capsys, "ns", "--mu", "float:1e150", "--check")
     assert code == EXIT_DOMAIN and out == ""
@@ -454,6 +454,26 @@ def test_ns_summary(capsys):
     payload = json.loads(out)
     assert payload["closed_form"] == 0.5
     assert abs(payload["decay_rate"] - 0.25) < 0.005
+
+
+def test_ns_below_minus_one_mirrors_its_absolute_value(capsys):
+    # G_k(-lam, -mu) = (-1)^k G_k(lam, mu): mu = -2 is the Cayley-graph weighting
+    payloads = []
+    for mu in ("rat:-2/1", "rat:2/1"):
+        code, out, _ = _run(capsys, "ns", "--mu", mu, "--depth", "60", "--format", "json",
+                            "--check")
+        assert code == EXIT_OK
+        payloads.append(json.loads(out))
+    neg, pos = payloads
+    assert [r["x_m"] for r in neg["rows"]] == [-r["x_m"] for r in pos["rows"]]
+    for key in ("m", "gap", "log2_gap"):
+        assert [r[key] for r in neg["rows"]] == [r[key] for r in pos["rows"]]
+    for key in ("decay_rate", "empirical", "closed_form", "meta"):
+        assert neg[key] == pos[key]
+    for mu in ("rat:-1/1", "float:-0.5"):
+        code, out, err = _run(capsys, "ns", "--mu", mu, "--depth", "20")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.splitlines() == ["error: gap sequence requires |mu| > 1"]
 
 
 def test_ns_json_meta_is_deterministic(tmp_path, capsys):
@@ -522,6 +542,18 @@ def test_multiplicity_level_below_one_exits_two(capsys, level, check):
                           "--grid", "0", *check)
     assert code == EXIT_DOMAIN and out == ""
     assert err.splitlines() == ["error: level must be >= 1"]
+
+
+def test_multiplicity_level_cap_binds_only_the_check(capsys, monkeypatch):
+    # the check builds the level matrix; the factorization alone builds none
+    monkeypatch.delenv("LLSPEC_NMAX", raising=False)
+    argv = ("multiplicity", "--level", "13", "--mu", "float:0.3", "--grid", "2")
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines() == ["lam,multiplicity,is_root", "2,0,0"]
+    code, out, err = _run(capsys, *argv, "--check")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == ["error: level 13 exceeds the configured bound 12"]
 
 
 def test_multiplicity_check_refuses_a_level_before_printing(capsys, monkeypatch):

@@ -1,6 +1,5 @@
-"""J*(mu) truncations, tridiagonal eigenvalues and Sturm counts, measure density, m-function."""
+"""J*(mu) truncations, tridiagonal eigenvalues and Sturm counts, measure density."""
 
-import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
 
 from llspec.chebyshev import u_zeros
 from llspec.errors import DomainError
@@ -21,14 +19,12 @@ from llspec.jacobi import (
     TridiagonalMatrix,
     ac_density,
     critical_index,
-    eig_count_below,
     isolated_eigenvalue,
     isolated_mass,
     jstar_band,
     jstar_spectrum,
     jstar_truncation,
     leading_counts_below,
-    m_function,
     pencil_spectrum,
     tridiag_eigs,
     tridiag_eigs_batch,
@@ -81,7 +77,7 @@ def test_tridiag_eigs_against_dense_oracle():
         got = tridiag_eigs(t)
         d = 1e-12 * (1.0 + max(np.abs(t.diag).max(), np.abs(t.offdiag).max()))
         for j, v in enumerate(got):
-            assert eig_count_below(t, v - d) <= j < eig_count_below(t, v + d)
+            assert leading_counts_below(t, v - d)[-1] <= j < leading_counts_below(t, v + d)[-1]
     for mu in (0.3, 2.0, -1.5):
         for n in (2, 5, 17, 40):
             t = jstar_truncation(mu, n)
@@ -117,10 +113,10 @@ def test_non_finite_entries_rejected():
 
 def test_eig_counts():
     t = jstar_truncation(0.0, 3)  # eigenvalues -sqrt2, 0, sqrt2
-    assert eig_count_below(t, -2.0) == 0
-    assert eig_count_below(t, -1.0) == 1
-    assert eig_count_below(t, 0.5) == 2
-    assert eig_count_below(t, 3.0) == 3
+    assert leading_counts_below(t, -2.0)[-1] == 0
+    assert leading_counts_below(t, -1.0)[-1] == 1
+    assert leading_counts_below(t, 0.5)[-1] == 2
+    assert leading_counts_below(t, 3.0)[-1] == 3
     counts = leading_counts_below(t, 0.5)
     # leading 1x1 has eigenvalue 0, leading 2x2 has -1 and 1
     assert counts.tolist() == [1, 1, 2]
@@ -130,7 +126,6 @@ def test_sturm_count_is_silent_after_a_zero_pivot():
     t = TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[2.0])  # eigenvalues -2, 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert eig_count_below(t, 0.0) == 1
         assert leading_counts_below(t, 0.0).tolist() == [1, 1]
 
 
@@ -191,69 +186,16 @@ def test_density_band_integral_examples():
     assert _band_integral(2.0, 1e-10) == pytest.approx(0.25, abs=1e-6)
 
 
-def test_m_function_value_at_three():
-    val = m_function(3.0, 0.0)
-    assert val.real == pytest.approx((-3.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
-    assert abs(val.imag) < 1e-12
-
-
-def test_m_function_is_herglotz():
-    for mu in (0.0, 0.7, 2.0, -1.3):
-        lo, hi = jstar_band(mu)
-        for x in np.linspace(lo - 1.0, hi + 1.0, 23):
-            assert m_function(complex(x, 1e-3), mu).imag > 0.0
-
-
-def test_m_function_band_and_pole_behaviour():
-    with pytest.raises(DomainError):
-        m_function(0.0, 0.0)
-    x_star = isolated_eigenvalue(2.0)
-    assert abs(m_function(complex(x_star, 1e-6), 2.0)) > 1e3
-    # no blow-up anywhere else off the band
-    assert abs(m_function(complex(x_star - 0.5, 1e-6), 2.0)) < 50.0
-
-
-def test_m_function_matches_resolvent_oracle():
-    # first diagonal entry of the resolvent of a large truncation
-    for mu, z in [(0.0, 3.0), (2.0, complex(4.0, 0.5)), (-1.5, complex(-4.0, 0.2))]:
-        n = 400
-        t = jstar_truncation(mu, n)
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = t.offdiag
-        ab[1, :] = t.diag - z
-        ab[2, :-1] = t.offdiag
-        e0 = np.zeros(n, dtype=complex)
-        e0[0] = 1.0
-        res = solve_banded((1, 1), ab, e0)
-        # the (0,0) resolvent entry is the Stieltjes transform itself
-        assert m_function(z, mu) == pytest.approx(res[0], rel=1e-9)
-
-
 @pytest.mark.parametrize("mu", [2.0, 3.0, -1.8])
 def test_pole_location_by_bisection(mu):
-    # 1/m is strictly decreasing through zero at the mass point, so bisecting
-    # its sign recovers the pole from resolvent values alone
+    # the isolated point is the one eigenvalue of a long truncation outside
+    # the band: its lowest for mu > 0, its highest for mu < 0
     x_star = isolated_eigenvalue(mu)
-    lo, hi = x_star - 0.25, x_star + 0.25
+    eigs = tridiag_eigs(jstar_truncation(mu, 80))
+    extreme = eigs[0] if mu > 0 else eigs[-1]
     band_lo, band_hi = jstar_band(mu)
-    assert hi < band_lo or lo > band_hi  # bracket stays off the band
-
-    def inv_m(x):
-        return (1.0 / m_function(complex(x, 0.0), mu)).real
-
-    assert inv_m(lo) > 0.0 > inv_m(hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        try:
-            positive = inv_m(mid) > 0.0
-        except DomainError:  # landed exactly on the pole
-            lo = hi = mid
-            break
-        if positive:
-            lo = mid
-        else:
-            hi = mid
-    assert abs(0.5 * (lo + hi) - x_star) < 1e-8
+    assert extreme < band_lo or extreme > band_hi
+    assert abs(extreme - x_star) < 1e-8
 
 
 def test_critical_index_table():

@@ -1,4 +1,4 @@
-"""Atomic measure truncations, exceptional-set classification, exact masses."""
+"""Atomic measure truncations, exceptional-set classification, multiplicities."""
 
 import json
 import math
@@ -18,10 +18,8 @@ from llspec.measure import (
     B2Mu,
     FloatMu,
     RationalMu,
-    atom_mass_exact,
     classify_mu,
     format_mu,
-    ids_cdf,
     measure_cdf_mids,
     measure_to_json,
     measure_truncation,
@@ -309,36 +307,8 @@ def test_atom_positions_separated():
 
 
 # ---------------------------------------------------------------------------
-# exact masses and multiplicities
+# mass limits and multiplicities
 # ---------------------------------------------------------------------------
-
-
-def test_exact_mass_formulas():
-    assert atom_mass_exact(RationalMu(0, 1), "B1_merged", n0=1, q=2) == Fraction(1, 3)
-    assert atom_mass_exact(RationalMu(1, 1), "B2_merged", k=2) == Fraction(2, 7)
-    assert atom_mass_exact(RationalMu(3, 2), "B3_endpoint", k=2) == Fraction(1, 8)
-    assert atom_mass_exact(RationalMu(7, 6), "generic", index=3) == Fraction(1, 16)
-    assert atom_mass_exact(RationalMu(2, 1), "delta_mu") == Fraction(1, 4)
-    # the B2 rule is the B1 rule with n0 = 1, q = k + 1
-    for k in range(1, 8):
-        b2 = Fraction(1, 4) + Fraction(1, 4 * (2 ** (k + 1) - 1))
-        b1 = Fraction(2 ** (k + 1), 2 ** 2 * (2 ** (k + 1) - 1))
-        assert b2 == b1
-
-
-def test_exact_mass_guardrails():
-    with pytest.raises(DomainError):
-        atom_mass_exact(FloatMu(0.3), "delta_mu")
-    with pytest.raises(DomainError):
-        atom_mass_exact(RationalMu(1, 1), "delta_mu")  # recurs; needs B2 rule
-    with pytest.raises(DomainError):
-        atom_mass_exact(RationalMu(1, 1), "B2_merged", k=3)  # wrong witness
-    with pytest.raises(DomainError):
-        atom_mass_exact(RationalMu(7, 6), "B3_endpoint", k=2)
-    with pytest.raises(DomainError):
-        atom_mass_exact(RationalMu(7, 6), "B1_merged", n0=1, q=2)
-    with pytest.raises(DomainError):
-        atom_mass_exact(RationalMu(7, 6), "nonsense")
 
 
 def test_b1_mass_limit_is_reached_by_truncations():
@@ -346,7 +316,7 @@ def test_b1_mass_limit_is_reached_by_truncations():
     m = measure_truncation(RationalMu(0, 1), 17)
     atom = m.atom_near(-2.0)
     assert atom.indices == (2, 5, 8, 11, 14, 17)
-    limit = atom_mass_exact(RationalMu(0, 1), "B1_merged", n0=2, q=3)
+    limit = Fraction(2 ** 3, 2 ** (2 + 1) * (2 ** 3 - 1))  # 2^q / (2^(n0+1) (2^q - 1))
     assert limit == Fraction(1, 7)
     assert abs(float(atom.mass) - float(limit)) < 1e-4
 
@@ -395,17 +365,23 @@ def test_generic_zero_sets_disjoint():
 # ---------------------------------------------------------------------------
 
 
+def _ids_cdf(measure, x):
+    # exact bounds on N(x): the atoms at or below x, then the tail anywhere
+    lo = sum((a.mass for a in measure.atoms if a.position <= x), Fraction(0))
+    return lo, lo + measure.tail_mass
+
+
 def test_cdf_bounds():
     m = measure_truncation(FloatMu(0.5), 9)
-    lo, hi = ids_cdf(m, -10.0)
+    lo, hi = _ids_cdf(m, -10.0)
     assert lo == 0 and hi == m.tail_mass
-    lo, hi = ids_cdf(m, 10.0)
+    lo, hi = _ids_cdf(m, 10.0)
     assert lo == 1 - m.tail_mass and hi == 1
 
 
 def test_cdf_symmetry_at_flat_parameter():
     m = measure_truncation(RationalMu(0, 1), 9)
-    lo, hi = ids_cdf(m, 0.0)
+    lo, hi = _ids_cdf(m, 0.0)
     assert lo >= Fraction(1, 2) - m.tail_mass
 
 
@@ -414,7 +390,7 @@ def test_cdf_mids_match_ids_cdf_on_and_between_atoms(mu):
     m = measure_truncation(mu, 12)
     positions = sorted(a.position for a in m.atoms)
     xs = [-20.0, *positions, *(0.5 * (a + b) for a, b in zip(positions, positions[1:])), 20.0]
-    assert measure_cdf_mids(m, xs) == [float(sum(ids_cdf(m, x))) / 2.0 for x in xs]
+    assert measure_cdf_mids(m, xs) == [float(sum(_ids_cdf(m, x))) / 2.0 for x in xs]
 
 
 def test_json_serialization():

@@ -9,6 +9,7 @@ import pytest
 
 from llspec import novikov
 from llspec.errors import ConvergenceError, DomainError, InsufficientDataError
+from llspec.ghpolys import g_zeros
 from llspec.jacobi import critical_index
 from llspec.novikov import GapEntry, GapSequence, decay_rate, gap_sequence, ns_invariant
 
@@ -24,6 +25,22 @@ def test_domain_guards():
         ns_invariant(0.5)
     with pytest.raises(InsufficientDataError):
         decay_rate(GapSequence(mu=2.0, target=3.0, entries=tuple()))
+
+
+def test_negative_mu_mirrors_through_the_level_polynomials():
+    # the mirrored x_m are the smallest zeros of G_m at mu itself, found by
+    # the tridiagonal eigensolver with no mirror involved
+    seq = gap_sequence(Fraction(-3, 2), 14)
+    assert seq.mu == -1.5 and seq.target == -1.5 + 2.0 / -1.5
+    assert [e.m for e in seq.entries] == list(range(2, 15))
+    for e in seq.entries:
+        assert abs(float(g_zeros(e.m, -1.5).min()) - e.x_m) < 1e-14
+    assert ns_invariant(-3.0, 30).closed_form == ns_invariant(3.0, 30).closed_form
+    for mu in (-1.0, -0.9):
+        with pytest.raises(DomainError):
+            gap_sequence(mu, 40)
+        with pytest.raises(DomainError):
+            ns_invariant(mu)
 
 
 def test_sequence_starts_at_critical_index():
