@@ -13,7 +13,9 @@ are accepted as floats and bare p/q as rationals.  Reals are printed with 17
 significant digits, rationals as "p/q".  With --check, every command but
 spectrum exits 3 when its acceptance bound is breached; --tol sets that bound
 and nothing else (measure, multiplicity and joint-spectrum have none: they
-decide by exact masses and `measure.coalesce_tol`).  Domain and capacity
+decide by exact masses and `measure.coalesce_tol`, which merges measure atoms
+only where `measure.classify_mu` reports B1 or B2).  eigs --check compares the
+whole sorted spectrum with the roots of the factorization.  Domain and capacity
 errors, an --out path that cannot be opened and a failed write exit 2, and a
 solver that fails to converge exits 4.  The level cap (LLSPEC_NMAX) and the
 memory budget bind only the commands that build a level matrix: char-poly,
@@ -207,16 +209,22 @@ def _cmd_char_poly(args) -> _Result:
 def _cmd_eigs(args) -> _Result:
     import numpy as np
 
-    from . import lamplighter
+    from . import ghpolys, lamplighter
 
     mu = measure.mu_value(measure.parse_mu(args.mu))
-    rep = lamplighter.build_level(args.level)
+    n = args.level
+    rep = lamplighter.build_level(n)
     eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, mu))
     rows = [(i, v) for i, v in enumerate(eigs)]
-    payload = {"mu": args.mu, "level": args.level, "eigenvalues": [float(v) for v in eigs]}
-    failed = args.check and (
-        len(eigs) != 1 << args.level or np.min(np.abs(eigs - (4.0 - mu))) > args.tol
-    )
+    payload = {"mu": args.mu, "level": n, "eigenvalues": [float(v) for v in eigs]}
+    failed = False
+    if args.check:
+        # the factorization's roots: 4 - mu, G_k's zeros 2^(n-1-k) times for k < n, G_n's once
+        factored = np.sort(np.concatenate([[4.0 - mu]] + [
+            np.repeat(ghpolys.g_zeros(k, mu), 1 << (n - 1 - k) if k < n else 1)
+            for k in range(1, n + 1)]))
+        failed = (len(eigs) != len(factored)
+                  or not np.max(np.abs(np.sort(eigs) - factored)) <= args.tol)
     return _Result(("index", "eigenvalue"), _csv_rows(rows), payload, failed)
 
 

@@ -251,36 +251,6 @@ def coalesce_tol(mu: float) -> float:
     return tol
 
 
-def _group_zeros(x: float, kmax: int, tol: float):
-    """All zeros of G_1..G_kmax at parameter x, grouped within tol.
-
-    Returns a list of (position, sorted tuple of contributing indices); the
-    position is taken from the smallest contributing index.
-    """
-    from .ghpolys import g_zeros  # and so numpy: parsing a parameter needs neither
-
-    entries = []
-    for k in range(1, kmax + 1):
-        for z in g_zeros(k, x):
-            entries.append((float(z), k))
-    entries.sort()
-    groups = []
-    cur = [entries[0]]
-    for item in entries[1:]:
-        if item[0] - cur[-1][0] <= tol:
-            cur.append(item)
-        else:
-            groups.append(cur)
-            cur = [item]
-    groups.append(cur)
-    out = []
-    for grp in groups:
-        ks = sorted(k for _, k in grp)
-        pos = min(grp, key=lambda zk: zk[1])[0]
-        out.append((pos, tuple(ks)))
-    return out
-
-
 # exact rational members of B1/B2 with their witnesses.  A rational mu in B1
 # other than 0 makes -mu = sin((n+1) t) / sin(n t), t = p pi/q, a rational
 # ratio of sines of rational multiples of pi: +-1, or +-2 and +-1/2 with sines
@@ -369,7 +339,7 @@ class Atom:
     position: float
     mass: Fraction
     indices: tuple[int, ...]
-    kind: str  # generic | delta_mu | B1_merged | B2_merged | B3_endpoint
+    kind: str  # delta_mu | B2_merged (hold index 1) | B3_endpoint | B1_merged | generic
 
 
 @dataclass(frozen=True)
@@ -383,11 +353,12 @@ class AtomicMeasure:
         return sum((a.mass for a in self.atoms), Fraction(0)) + self.tail_mass
 
     def atom_near(self, position: float) -> Atom:
+        """The atom nearest to position, which must lie within `coalesce_tol`."""
         tol = coalesce_tol(mu_value(self.mu))
-        for atom in self.atoms:
-            if abs(atom.position - position) <= tol:
-                return atom
-        raise DomainError(f"no atom within {tol} of {position}")
+        atom = min(self.atoms, key=lambda a: abs(a.position - position))
+        if not abs(atom.position - position) <= tol:
+            raise DomainError(f"no atom within {tol} of {position}")
+        return atom
 
 
 def tail_mass(depth: int) -> Fraction:
@@ -400,30 +371,46 @@ def tail_mass(depth: int) -> Fraction:
 def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     """Depth-K truncation of the spectral measure with exact rational masses.
 
-    Collects the zeros of G_1..G_K with mass 2^-(k+1) each, coalescing
-    positions that `coalesce_tol` calls one point.  In-band collisions are
-    exact algebraic coincidences, so a tolerance well above eigenvalue
-    accuracy and well below the zero spacing draws the same groups there.
-    For |mu| > 1 the out-of-band zeros of consecutive polynomials approach
-    the accumulation point geometrically (roughly mu^-2k), so at depths
-    where their spacing falls under the tolerance they merge into one
-    reported atom; total mass stays exact either way.
+    Collects the zeros of G_1..G_K with mass 2^-(k+1) each.  `classify_mu`
+    alone decides whether zeros can collide: outside B1 and B2 (every
+    rational but 0 and +-1) no two of them do, and each is an atom of its
+    own.  At a B1 or B2 parameter, in-band neighbours within `coalesce_tol`
+    merge: in-band collisions are exact algebraic coincidences, so a
+    tolerance well above eigenvalue accuracy and well below the zero spacing
+    draws the same groups there.  Out-of-band zeros move strictly with k and
+    never merge, however close they come to the accumulation point.
+
+    The atom holding index 1 (G_1 = mu - lam) is delta_mu, or B2_merged when
+    it collected more; a B3 parameter's atom at 4 - mu is B3_endpoint.  At
+    mu = 2 the zero lam = 2 is both, and stays delta_mu.
     """
+    from .ghpolys import g_zeros  # and so numpy: parsing a parameter needs neither
+
     if depth < 1:
         raise DomainError("depth must be >= 1")
     x = mu_value(mu)
     tol = coalesce_tol(x)
-    atoms = []
-    for pos, ks in _group_zeros(x, depth, tol):
-        mass = sum((Fraction(1, 2 ** (k + 1)) for k in ks), Fraction(0))
-        if abs(pos - x) <= tol:
-            kind = "delta_mu" if len(ks) == 1 else "B2_merged"
-        elif abs(pos - (4.0 - x)) <= tol:
-            kind = "B3_endpoint"
-        elif len(ks) > 1:
-            kind = "B1_merged"
+    cls = classify_mu(mu)
+    merge = cls.in_b1 or cls.in_b2
+    groups: list[list[tuple[float, int]]] = []
+    for z, k in sorted((float(z), k) for k in range(1, depth + 1) for z in g_zeros(k, x)):
+        prev = groups[-1][-1][0] if groups else -math.inf
+        # prev <= z: both lie in the band [-4 - mu, 4 - mu] when these bounds hold
+        if merge and z - prev <= tol and -4.0 - x <= prev and z <= 4.0 - x:
+            groups[-1].append((z, k))
         else:
-            kind = "generic"
+            groups.append([(z, k)])
+    atoms = []
+    for grp in groups:
+        ks = tuple(sorted(k for _, k in grp))
+        pos = min(grp, key=lambda zk: zk[1])[0]  # from the smallest index
+        mass = sum((Fraction(1, 2 ** (k + 1)) for k in ks), Fraction(0))
+        if ks[0] == 1:
+            kind = "delta_mu" if len(ks) == 1 else "B2_merged"
+        elif cls.in_b3 and abs(pos - (4.0 - x)) <= tol:
+            kind = "B3_endpoint"
+        else:
+            kind = "B1_merged" if len(ks) > 1 else "generic"
         atoms.append(Atom(position=pos, mass=mass, indices=ks, kind=kind))
     return AtomicMeasure(mu=mu, depth=depth, atoms=tuple(atoms), tail_mass=tail_mass(depth))
 

@@ -54,6 +54,28 @@ def test_eigs_output(capsys):
     assert payload["eigenvalues"] == [2.0, 2.0]
 
 
+@pytest.mark.parametrize("level, mu", [(0, "rat:2/1"), (1, "float:0.3"), (6, "rat:0/1"),
+                                       (6, "rat:1/1"), (6, "rat:2/1")])
+def test_eigs_check_matches_the_factorization(capsys, level, mu):
+    assert _run(capsys, "eigs", "--level", str(level), "--mu", mu, "--check")[0] == EXIT_OK
+
+
+def test_eigs_check_sees_one_moved_eigenvalue(capsys, monkeypatch):
+    # negative control: the check compares the whole spectrum, not only the
+    # eigenvalue at 4 - mu, so one eigenvalue moved by 1e-6 fails it
+    solve = lamplighter.dense_eigs
+
+    def moved(matrix):
+        eigs = solve(matrix).copy()
+        eigs[0] += 1e-6
+        return eigs
+
+    argv = ("eigs", "--level", "4", "--mu", "float:0.3", "--check")
+    assert _run(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.setattr(lamplighter, "dense_eigs", moved)
+    assert _run(capsys, *argv)[0] == EXIT_CHECK
+
+
 def test_zeros_check(capsys):
     code, _, _ = _run(capsys, "zeros", "--mu", "float:1.5", "--depth", "25", "--check")
     assert code == EXIT_OK
@@ -87,6 +109,20 @@ def test_measure_exact_masses(capsys):
     assert code == EXIT_OK
     origin9 = next(a for a in json.loads(out)["atoms"] if abs(a["position"]) < 1e-9)
     assert origin9["mass"] == "341/1024"
+
+
+@pytest.mark.parametrize("mu, depth", [("rat:2/1", 40), ("rat:-2/1", 40), ("float:-2", 40),
+                                       ("rat:7/6", 100), ("float:1e10", 5), ("rat:10000/1", 12)])
+def test_measure_keeps_isolated_zeros_apart(capsys, mu, depth):
+    code, out, _ = _run(capsys, "measure", "--mu", mu, "--depth", str(depth), "--check")
+    assert code == EXIT_OK
+    # no parameter here is in B1 or B2, so every zero is an atom of its own
+    classes = [row.split(",")[-1] for row in out.splitlines()[1:-1]]
+    assert len(classes) == depth * (depth + 1) // 2
+    assert classes.count("delta_mu") == 1
+    # 7/6 = 1 + 1/6 puts a zero of G_6 on 4 - mu; at 2 = 1 + 1/1 that zero is
+    # G_1's, at lam = mu, and stays delta_mu
+    assert classes.count("B3_endpoint") == (mu == "rat:7/6")
 
 
 def test_char_poly_level_one_is_exact(capsys):

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from llspec import measure
+from llspec.cli import _DEPTH_MAX
 from llspec.errors import DomainError
 from llspec.ghpolys import g_value, g_zeros
 from llspec.lamplighter import build_level, dense_eigs, pencil_matrix
@@ -304,6 +305,75 @@ def test_atom_positions_separated():
     m = measure_truncation(FloatMu(0.37), 14)
     positions = sorted(a.position for a in m.atoms)
     assert min(b - a for a, b in zip(positions, positions[1:])) > 1e-9
+
+
+def test_atom_near_returns_the_nearest_atom():
+    # at mu = 2 the out-of-band zeros of G_14..G_40 lie closer to their
+    # neighbours than the tolerance, and each is an atom of its own
+    m = measure_truncation(RationalMu(2, 1), 40)
+    outliers = [float(g_zeros(k, 2.0)[-1]) for k in range(14, 41)]
+    assert max(b - a for a, b in zip(outliers, outliers[1:])) < measure.coalesce_tol(2.0)
+    atom = m.atom_near(outliers[13])
+    assert atom.indices == (27,) and atom.position == outliers[13]
+
+
+def _angles(mu: int, k: int) -> list[Fraction]:
+    """t/pi of the zeros lam = -mu - 4 cos(t) of G_k at mu = 0, 1 or -1, ascending.
+
+    sin((k+1)t) + mu sin(kt) is sin((k+1)t) at mu = 0, 2 sin((2k+1)t/2) cos(t/2)
+    at mu = 1 and 2 cos((2k+1)t/2) sin(t/2) at mu = -1, so the j-th zero of G_k
+    has t/pi = j/(k+1), 2j/(2k+1) or (2j-1)/(2k+1), j = 1..k.
+    """
+    return [{0: Fraction(j, k + 1), 1: Fraction(2 * j, 2 * k + 1),
+             -1: Fraction(2 * j - 1, 2 * k + 1)}[mu] for j in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("mu", [0, 1, -1])
+def test_rational_b1_groups_are_the_angle_groups(mu):
+    depth = _DEPTH_MAX
+    angles = {k: _angles(mu, k) for k in range(1, depth + 1)}
+    groups: dict[Fraction, list[int]] = {}
+    for k, fs in angles.items():
+        for f in fs:
+            groups.setdefault(f, []).append(k)
+    centre = {f: -mu - 4.0 * math.cos(math.pi * f) for f in groups}
+    tol = measure.coalesce_tol(float(mu))
+    # every zero sits within tol / 4 of its closed form, and distinct closed
+    # forms lie over 2 tol apart: chaining neighbours within tol then draws
+    # exactly the angle groups from G_1..G_K at every K <= depth
+    assert max(abs(float(z) - centre[f]) for k, fs in angles.items()
+               for z, f in zip(g_zeros(k, float(mu)), fs, strict=True)) <= tol / 4
+    points = sorted(centre.values())
+    assert min(b - a for a, b in zip(points, points[1:])) > 2 * tol
+    for d in [*range(1, 31), depth]:
+        m = measure_truncation(RationalMu(mu, 1), d)
+        expected = sorted((centre[f], tuple(k for k in ks if k <= d))
+                          for f, ks in groups.items() if ks[0] <= d)
+        atoms = sorted(m.atoms, key=lambda a: a.position)
+        assert [a.indices for a in atoms] == [ks for _, ks in expected]
+        assert max(abs(a.position - c) for a, (c, _) in zip(atoms, expected)) <= tol
+
+
+@given(p=st.integers(-30, 30), q=st.integers(1, 30), depth=st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_no_collision_outside_zero_and_plus_minus_one(p, q, depth):
+    # B1 and B2 meet the rationals only in 0 and +-1, so every zero of
+    # G_1..G_K is an atom of its own
+    assume(Fraction(p, q) not in (0, 1, -1))
+    m = measure_truncation(RationalMu(p, q), depth)
+    assert len(m.atoms) == depth * (depth + 1) // 2
+    assert all(len(a.indices) == 1 for a in m.atoms)
+    assert m.total_mass() == 1
+
+
+def test_b2_parameter_merges_in_band_only():
+    m = measure_truncation(B2Mu(1, 3), 40)  # mu = sqrt(2)
+    x = mu_value(m.mu)
+    outside = [a for a in m.atoms if abs(a.position + x) > 4.0]
+    assert len(outside) == 40 - 2  # G_k has an outlier from k = 3 on
+    assert all(len(a.indices) == 1 and a.kind == "generic" for a in outside)
+    assert any(len(a.indices) > 1 for a in m.atoms)
+    assert m.total_mass() == 1
 
 
 # ---------------------------------------------------------------------------
