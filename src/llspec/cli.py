@@ -298,12 +298,12 @@ def _cmd_multiplicity(args) -> _Result:
 
     from . import lamplighter
 
-    mu = measure.parse_mu(args.mu)
-    grid = _parse_grid(args.grid, _zeros_seconds(args.level))
     # below, a DomainError of multiplicity_in_phi means "not a root", so the
-    # level and the same-point tolerance at mu are checked here
+    # level and the same-point tolerance at mu are checked here, the level first
     if args.level < 1:
         raise DomainError("level must be >= 1")
+    mu = measure.parse_mu(args.mu)
+    grid = _parse_grid(args.grid, _zeros_seconds(args.level))
     tol = measure.coalesce_tol(measure.mu_value(mu))
     # only the check builds the level matrix, so only it is held to the level
     # cap and the memory budget; the factorization alone is bounded by the grid

@@ -12,8 +12,9 @@ class CapacityError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Iterative solver failed to reach its tolerance within its limit.
 
-    The limits are the rotation sweeps of the dense eigensolver and the
-    Newton step cap of the `ns` outlier zeros.
+    The limits are the rotation sweeps of the dense eigensolver, whose
+    residual is the off-diagonal norm, and the Newton step cap of the `ns`
+    outlier zeros, whose residual is the last Newton step.
     """
 
     def __init__(self, message, residual=None):

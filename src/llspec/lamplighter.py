@@ -156,11 +156,12 @@ def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]
     """(sign, ln|Phi_n|) from the factored product over the level polynomials.
 
     The factor G_k enters with exponent 2^(n-1-k) for k < n and exponent 1
-    for k = n; working in log-magnitude keeps exponents of order 2^n exact
-    where plain floats would overflow by n around 15.
+    for k = n; at n = 0 the lead factor 4 - lam - mu is the whole product.
+    Working in log-magnitude keeps exponents of order 2^n exact where plain
+    floats would overflow by n around 15.
     """
-    if n < 1:
-        raise DomainError("factorized form needs n >= 1")
+    if n < 0:
+        raise DomainError("factorized form needs n >= 0")
     lead = 4.0 - lam - mu
     if lead == 0.0:
         return 0.0, -math.inf

@@ -28,15 +28,14 @@ The three classes are labelled B1/B2/B3 throughout the API.  Membership is
 decided exactly for the structured forms and for every rational, whose only
 B1 and B2 members are 0 and +-1: a rational cosine of a rational angle is
 0, +-1/2 or +-1 (Niven), and a rational ratio of sines of rational angles
-is +-1, +-2 or +-1/2 (Conway & Jones).  A bare float is compared with the
-members that bounded scans reach and flagged as heuristic; B1 is dense in
-the reals, so no finite procedure can decide it unconditionally.
+is +-1, +-2 or +-1/2 (Conway & Jones).  A float is the rational its double
+stores, and is decided as that rational.  Only the B2 membership of a B1Mu
+whose value is irrational rests on a bounded scan, flagged as heuristic.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,7 +74,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FloatMu:
-    """Unstructured real parameter; membership questions become heuristic."""
+    """Real parameter, classified as the exact rational Fraction(x) its double stores."""
 
     x: float
 
@@ -145,13 +144,9 @@ def mu_value(mu: MuParam) -> float:
     if isinstance(mu, RationalMu):
         return mu.p / mu.q
     if isinstance(mu, B1Mu):
-        if (mu.n - 1) % mu.q == 0:
-            # collapses to -2cos(p pi/q); snap the rational-cosine angles
-            # so the exceptional values 0 and +-1 are exact floats
-            if mu.q == 2:
-                return 0.0
-            if mu.q == 3:
-                return -1.0 if mu.p == 1 else 1.0
+        rational = _b1_rational(mu)
+        if rational is not None:
+            return rational
         t = mu.p * math.pi / mu.q
         return -math.sin((mu.n + 1) * t) / math.sin(mu.n * t)
     if isinstance(mu, B2Mu):
@@ -163,6 +158,20 @@ def mu_value(mu: MuParam) -> float:
             return 1.0 if jr == 1 else -1.0
         return 2.0 * math.cos(jr * math.pi / mr)
     raise DomainError(f"not a parameter form: {mu!r}")
+
+
+def _b1_rational(mu: B1Mu) -> float | None:
+    """The value of a B1Mu where it is rational, as an exact float; else None.
+
+    With t = p pi/q the value -sin((n+1) t) / sin(n t) is 0 when q | n+1.  When
+    q | 2n+1, (n+1) t = N pi - n t with N = (2n+1) p/q, so the value is (-1)^N.
+    These are its only rational values, 0 and +-1.
+    """
+    if (mu.n + 1) % mu.q == 0:
+        return 0.0
+    if (2 * mu.n + 1) % mu.q == 0:
+        return -1.0 if (2 * mu.n + 1) * mu.p // mu.q % 2 else 1.0
+    return None
 
 
 def _require_float_value(mu: MuParam) -> None:
@@ -262,22 +271,10 @@ _RATIONAL_B1 = {Fraction(0): (1, 2, 1), Fraction(1): (2, 3, 1), Fraction(-1): (1
 _RATIONAL_B2 = {Fraction(0): 1, Fraction(1): 2, Fraction(-1): 2}
 
 
-# bounded scans behind the heuristic answers: indices 1.._SCAN_DEPTH, and how
-# close a float must come to a member of B1, to 1 + 1/k or to a zero of U_k
+# the bounded scan behind the one heuristic answer: indices 1.._SCAN_DEPTH, and
+# how close to 0 U_k(-mu/2) must come
 _SCAN_DEPTH = 20
 _SCAN_TOL = 1e-9
-
-
-@functools.cache
-def _b1_scan_members() -> list[tuple[tuple[int, int, int], float]]:
-    """((n0, q, p), value) of each B1Mu(p, q, n0) with n0 + q <= _SCAN_DEPTH, least first.
-
-    At such a point G_n0 and G_(n0+q) share a zero, so these are the
-    collisions that G_1.._SCAN_DEPTH show.
-    """
-    return sorted(((n0, q, p), mu_value(B1Mu(p, q, n0)))
-                  for q in range(2, _SCAN_DEPTH) for p in range(1, q) if math.gcd(p, q) == 1
-                  for n0 in range(1, min(q, _SCAN_DEPTH - q + 1)))
 
 
 def _b2_scan(x: float) -> int | None:
@@ -290,20 +287,15 @@ def classify_mu(mu: MuParam) -> MuClassification:
     """Decide B1/B2/B3 membership with witnesses.
 
     Each form is decided by one rule.  B1Mu and B2Mu are members by
-    construction, and a rational is decided exactly: its B1/B2 memberships
-    are the tables above and B3 is mu = 1 + 1/k.  A float is compared with
-    the members the bounded scans can see, and so is the B2 membership of a
-    B1Mu that its construction leaves open; the heuristic flag is set exactly
-    when a scan ran.
+    construction.  A rational, and a float as the exact rational its double
+    stores, is decided exactly: its B1/B2 memberships are the tables above and
+    B3 is mu = 1 + 1/k.  Only the B2 membership of a B1Mu with an irrational
+    value is left open by its construction; a bounded U_k scan answers it,
+    and the heuristic flag is set exactly then.
     """
     b1 = b2 = b3 = None
     heuristic = False
-    if isinstance(mu, RationalMu):
-        frac = mu.fraction
-        b1, b2 = _RATIONAL_B1.get(frac), _RATIONAL_B2.get(frac)
-        if frac > 1 and (frac - 1).numerator == 1:
-            b3 = (frac - 1).denominator
-    elif isinstance(mu, B2Mu):
+    if isinstance(mu, B2Mu):
         # 2cos(j pi/(k+1)) is rational only at 0 and +-1, so never 1 + 1/k; the
         # atom at lam = mu recurs: angle pi - j pi/(k+1), first index 1
         d = math.gcd(mu.j, mu.k + 1)
@@ -315,17 +307,16 @@ def classify_mu(mu: MuParam) -> MuClassification:
             # the value collapses to -2cos(p pi/q), whose lam = mu atom
             # recurs with step q; minimal Chebyshev index is q - 1
             b2 = mu.q - 1
+        elif (rational := _b1_rational(mu)) is not None:
+            b2 = _RATIONAL_B2[rational]
         else:
             b2, heuristic = _b2_scan(mu_value(mu)), True
     else:
-        x, heuristic = mu_value(mu), True
-        if x > 1.0 + _SCAN_TOL:
-            k = round(1.0 / (x - 1.0))
-            if 1 <= k <= 10 ** 6 and abs(x - 1.0 - 1.0 / k) < _SCAN_TOL:
-                b3 = k
-        b2 = _b2_scan(x)
-        b1 = next(((p, q, n0) for (n0, q, p), value in _b1_scan_members()
-                   if abs(x - value) < _SCAN_TOL), None)
+        # a float is the rational its double stores; mu_value refuses a non-form
+        frac = mu.fraction if isinstance(mu, RationalMu) else Fraction(mu_value(mu))
+        b1, b2 = _RATIONAL_B1.get(frac), _RATIONAL_B2.get(frac)
+        if frac > 1 and (frac - 1).numerator == 1:
+            b3 = (frac - 1).denominator
     return MuClassification(b1 is not None, b2 is not None, b3 is not None, heuristic, b1, b2, b3)
 
 

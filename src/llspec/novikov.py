@@ -14,13 +14,14 @@ far below any fixed compound-double format at the depths needed here (a
 mu^(-2m) of 9^-60 ~ 1e-57 at mu = 3), so x_m is computed in
 arbitrary-precision arithmetic with the working precision scaled to the
 expected decay; the target mu + 2/mu is exact there.  Newton's method on the
-truncation's determinant finds x_m in a few steps, and Sturm counts certify
-each result: an eigenvalue lies within a bracket of width mu^(-2m) * 1e-6
-around it, far below the gap.  The working precision also carries
-log10(mu) digits for the size of the eigenvalue itself, and mu is capped at
-1e150, where mu^-2 is still a normal double.  A sequence whose estimated
-work (pivot steps weighted by their precision) exceeds `_WORK_MAX` is
-refused before any of it is done.
+truncation's determinant, started at the limit point left of every
+eigenvalue, reaches the eigenvalue behind x_m in a few steps without passing
+it, and Sturm counts certify each result: an eigenvalue lies within a bracket
+of width mu^(-2m) * 1e-6 around it, far below the gap.  The working
+precision also carries log10(mu) digits for the size of the eigenvalue
+itself, and mu is capped at 1e150, where mu^-2 is still a normal double.  A
+sequence whose estimated work (pivot steps weighted by their precision)
+exceeds `_WORK_MAX` is refused before any of it is done.
 
 The two slopes are least-squares fits from the standard library
 (`statistics.linear_regression`), so this module needs no numpy.
@@ -116,7 +117,7 @@ def _count_below_mp(mmu: mp.mpf, m: int, x: mp.mpf) -> int:
 
 
 def _newton_pass_mp(mmu: mp.mpf, m: int, x: mp.mpf):
-    """(Sturm count, Newton step) at x from one pass over the pivots.
+    """Newton step at x from one pass over the pivots.
 
     The pivots d_i of the truncation minus x multiply to its determinant, so
     with d_i' = d/dx d_i the Newton step for the determinant is
@@ -124,16 +125,14 @@ def _newton_pass_mp(mmu: mp.mpf, m: int, x: mp.mpf):
     """
     a = mmu / 2
     d, dd = -a - x, mp.mpf(-1)
-    count, total = 0, mp.mpf(0)
+    total = mp.mpf(0)
     for i in range(m):
         if i:
             d, dd = (a - x) - 1 / d, dd / (d * d) - 1
         if d == 0:
             d = _zero_pivot()
-        if d < 0:
-            count += 1
         total += dd / d
-    return count, (1 / total if total else None)
+    return 1 / total if total else None
 
 
 def _digits(muf: float, m: int) -> int:
@@ -144,14 +143,16 @@ def _digits(muf: float, m: int) -> int:
 def _outlier_zero_mp(mu, m: int) -> GapEntry:
     """The largest zero x_m of G_m and its gap to mu + 2/mu, for mu > 1.
 
-    x_m = -2 e, where e is the single truncation eigenvalue below the band.
-    e is bracketed between the limit point -mu/2 - 1/mu and a hair above the
-    band bottom, then found by Newton's method on the determinant inside that
-    bracket; a step that would leave the bracket bisects it instead.  Once
-    the step is below a quarter of width = mu^(-2m) * 1e-6, far below the
-    expected gap, the iterate x is returned only if the Sturm counts put an
-    eigenvalue in [x - width/2, x + width/2]: the answer rests on that
-    certificate, not on the iteration.
+    x_m = -2 e, where e is the single truncation eigenvalue below the band,
+    found by Newton's method on the determinant from the limit point
+    -mu/2 - 1/mu.  The determinant has only real roots, and the limit point
+    lies strictly left of the smallest one, e.  From any x left of e the step
+    |p/p'| = 1 / |sum 1/(x - e_j)| is at most e - x, so every iterate rises
+    towards e and none passes it.  Once the step is below a quarter of
+    width = mu^(-2m) * 1e-6, far below the expected gap, the iterate x is
+    returned only if the Sturm counts put an eigenvalue in
+    [x - width/2, x + width/2]: the answer rests on that certificate, not on
+    the iteration.
     """
     muf = float(mu)
     digits = _digits(muf, m)
@@ -166,79 +167,55 @@ def _outlier_zero_mp(mu, m: int) -> GapEntry:
 
         if _is_boundary(mu, m):
             return outlier(4 - mmu, 0)
-        band_lo = mmu / 2 - 2
-        lo = -mmu / 2 - 1 / mmu
-        margin = mp.mpf(0.5) / (m + 1) ** 2
-        hi = band_lo + margin
-        passes = 0
-        for _ in range(8):
-            passes += 1
-            if _count_below_mp(mmu, m, hi) == 1:
-                break
-            margin /= 16
-            hi = band_lo + margin
-        else:
-            raise DomainError(
-                f"could not isolate the out-of-band eigenvalue at m={m}, mu={muf}"
-            )
         width = mp.mpf(muf) ** (-2 * m) * mp.mpf(10) ** -6
-        x = lo
-        # bisection alone narrows the bracket to width within this many steps,
-        # as long as the precision resolves width next to mu (mu below ~1e19)
+        x, last, passes = -mmu / 2 - 1 / mmu, mp.inf, 0
+        # a handful of steps is the rule; one per bit of working precision
+        # without a certificate means none will come
         limit = mp.mp.prec
         for _ in range(limit):
-            count, step = _newton_pass_mp(mmu, m, x)
+            step = _newton_pass_mp(mmu, m, x)
             passes += 1
-            if count == 0:
-                lo = x
-            else:
-                hi = x
-            if step is not None and abs(step) <= width / 4:
-                x -= step
+            if step is None:
+                break
+            x, last = x - step, abs(step)
+            if last <= width / 4:
                 passes += 2
                 if (_count_below_mp(mmu, m, x - width / 2) == 0
                         and _count_below_mp(mmu, m, x + width / 2) >= 1):
                     return outlier(-2 * x, passes)
-                x = (lo + hi) / 2
-            elif step is None or not lo < x - step < hi:
-                x = (lo + hi) / 2
-            else:
-                x -= step
         raise ConvergenceError(
-            f"no certified outlier eigenvalue at m={m}, mu={muf} after {limit} "
-            f"Newton steps; bracket width {float(hi - lo):.3e}",
-            residual=float(hi - lo),
+            f"no certified outlier eigenvalue at m={m}, mu={muf} after {passes} "
+            f"recurrence passes; last Newton step {float(last):.3e}",
+            residual=float(last),
         )
 
 
 def gap_sequence(mu, M: int) -> GapSequence:
     """Gaps |x_m - (mu + 2/mu)| for m from the critical index up to M, |mu| > 1.
 
-    A mu below -1 is solved at |mu|, then each x_m and the target are negated.
+    A mu below -1 is solved at |mu|, then each x_m is negated.
     """
     muf = float(mu)
     if abs(muf) <= 1.0:
         raise DomainError("gap sequence requires |mu| > 1")
     if abs(muf) > _MU_MAX:
         raise DomainError(f"gap sequence requires |mu| <= {_MU_MAX:g}, got {muf:g}")
-    if muf < 0.0:
-        seq = gap_sequence(-mu, M)
-        return GapSequence(mu=muf, target=-seq.target,
-                           entries=tuple(replace(e, x_m=-e.x_m) for e in seq.entries))
-    start = critical_index(mu if isinstance(mu, Fraction) else muf)
+    start = critical_index(mu if isinstance(mu, Fraction) else muf)  # depends on |mu| only
     if M < start + 5:
         raise DomainError(f"need M >= {start + 5} for a usable sequence")
     work = 0.0
     for m in range(start, M + 1):  # each term is at least `start`, so this ends early
-        work += m * (1.0 + (_digits(muf, m) / 300.0) ** 1.6)
+        work += m * (1.0 + (_digits(abs(muf), m) / 300.0) ** 1.6)
         if work > _WORK_MAX:
             within = f"depth {m - 1} is" if m > start + 5 else "no depth is"
             raise DomainError(
                 f"gap sequence to depth {M} at mu={muf:g} exceeds the work bound "
-                f"{_WORK_MAX:g} (precision {_digits(muf, M)} digits at m={M}); "
+                f"{_WORK_MAX:g} (precision {_digits(abs(muf), M)} digits at m={M}); "
                 f"{within} within it"
             )
-    entries = tuple(_outlier_zero_mp(mu, m) for m in range(start, M + 1))
+    entries = tuple(_outlier_zero_mp(abs(mu), m) for m in range(start, M + 1))
+    if muf < 0.0:  # G_k(-lam, -mu) = (-1)^k G_k(lam, mu) mirrors each zero
+        entries = tuple(replace(e, x_m=-e.x_m) for e in entries)
     return GapSequence(mu=muf, target=muf + 2.0 / muf, entries=entries)
 
 

@@ -134,6 +134,17 @@ def test_char_poly_level_one_is_exact(capsys):
     assert json.loads(out)["max_rel_err"] < 1e-10
 
 
+def test_char_poly_level_zero_is_the_lead_factor(capsys):
+    # Phi_0 = 4 - lam - mu, the one factor that eigs --level 0 checks against
+    code, out, _ = _run(capsys, "char-poly", "--level", "0", "--mu", "float:0.3",
+                        "--grid=-6:6:25", "--format", "json", "--check")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["max_rel_err"] < 1e-15
+    for row in payload["rows"]:
+        assert row["phi_factorized"] == pytest.approx(4.0 - row["lam"] - 0.3, rel=1e-15)
+
+
 def test_multiplicity_rows_and_check(capsys):
     code, out, _ = _run(
         capsys, "multiplicity", "--level", "6", "--mu", "rat:2/1",
@@ -282,7 +293,7 @@ _COMMAND_DIGESTS = {
     ("dos", "csv"): (0, "cd297affd07aa63d20eef1ae6e07a43cf0d79f2a2bc45e5597451dceb5620ab8"),
     ("dos", "json"): (0, "eed943d2bbaf0149a5967df516be7d3d98832f72e3c61cb9f459fe057eeff3d7"),
     ("ns", "csv"): (0, "dea426d6225dd5edb644dbd33c21720f6147879616bb1aab7d4b5991481d50e6"),
-    ("ns", "json"): (0, "3b70ac29b558361fcd80dfc589fc6e85378df7685f4f5a4c1ec1d3d7c7922650"),
+    ("ns", "json"): (0, "29d5390f4f99182eea0591e3b9bb9598ffcb54be2c83b7ddb1a029202b5fbaa9"),
     ("dos-breach", "csv"): (3, "dfc3c3c486b83841ef4269b99a19bf5412b17213616f0ebadd6fa6c9170dafde"),
     ("dos-breach", "json"): (3, "d502e22bd852122654120d500b5370d64ecb1e76618754150cd9ae9f03a6966a"),
 }
@@ -530,7 +541,7 @@ def test_ns_json_meta_is_deterministic(tmp_path, capsys):
 
 
 def test_ns_convergence_failure_exits_four(capsys, monkeypatch):
-    monkeypatch.setattr(novikov, "_newton_pass_mp", lambda mmu, m, x: (0, mpmath.mpf(1)))
+    monkeypatch.setattr(novikov, "_newton_pass_mp", lambda mmu, m, x: mpmath.mpf(1))
     argv = ["ns", "--mu", "float:2", "--depth", "12"]
     assert run(argv) == EXIT_CONVERGENCE
     captured = capsys.readouterr()
@@ -571,11 +582,13 @@ def test_char_poly_check_fails_on_a_non_finite_error(capsys):
     assert code == EXIT_CHECK and math.isnan(json.loads(out)["max_rel_err"])
 
 
-@pytest.mark.parametrize("level", ["-1", "0"])
+@pytest.mark.parametrize("level", ["-1", "0", "-100000"])
 @pytest.mark.parametrize("check", [(), ("--check",)])
 def test_multiplicity_level_below_one_exits_two(capsys, level, check):
+    # the level is checked before the grid, whose time estimate at level
+    # -100000 is over the bound
     code, out, err = _run(capsys, "multiplicity", "--level", level, "--mu", "float:0.3",
-                          "--grid", "0", *check)
+                          "--grid", "0:1:1000", *check)
     assert code == EXIT_DOMAIN and out == ""
     assert err.splitlines() == ["error: level must be >= 1"]
 

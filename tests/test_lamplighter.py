@@ -86,6 +86,10 @@ def test_phi_factorized_values():
     det = phi_det(5, 0.3, 0.7)
     fac = phi_factorized(5, 0.3, 0.7)
     assert fac == pytest.approx(det, rel=1e-8)
+    # level 0 is the lead factor 4 - lam - mu alone; a negative level has no product
+    assert phi_factorized(0, 1.0, 0.3) == pytest.approx(2.7, rel=1e-15)
+    with pytest.raises(DomainError, match="needs n >= 0"):
+        phi_factorized_signlog(-1, 1.0, 0.3)
 
 
 def test_phi_routes_agree_on_random_draws():

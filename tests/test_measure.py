@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from llspec import measure
@@ -107,6 +107,11 @@ def test_rational_cosine_values_are_exact_floats():
     assert mu_value(B1Mu(1, 2, 1)) == 0.0
     assert mu_value(B1Mu(1, 3, 4)) == -1.0
     assert mu_value(B1Mu(2, 3, 4)) == 1.0
+    # q | n + 1 gives 0; q | 2n + 1 gives (-1)^((2n+1) p/q)
+    assert mu_value(B1Mu(1, 3, 2)) == 0.0
+    assert mu_value(B1Mu(1, 5, 2)) == -1.0
+    assert mu_value(B1Mu(2, 5, 2)) == 1.0
+    assert mu_value(B1Mu(3, 7, 3)) == -1.0
     assert mu_value(B2Mu(1, 3)) == pytest.approx(math.sqrt(2.0))  # no snap
 
 
@@ -153,16 +158,20 @@ def test_classify_structured_forms():
     assert cb1.in_b1 and cb1.b1_witness == (1, 4, 2)  # first index 6 mod 4
 
 
-def test_classify_floats_are_heuristic():
+def test_classify_floats_are_exact():
     cf = classify_mu(FloatMu(0.3))
-    assert not (cf.in_b1 or cf.in_b2 or cf.in_b3)
-    assert cf.heuristic
-    c12 = classify_mu(FloatMu(1.2))
-    assert c12.in_b3 and c12.b3_witness == 5 and c12.heuristic
-    # a float sitting on a collision value is detected by the scan
+    assert not (cf.in_b1 or cf.in_b2 or cf.in_b3 or cf.heuristic)
+    # the double nearest 1.2 is not 6/5, so not 1 + 1/5; 1.25 is 1 + 1/4
+    assert not classify_mu(FloatMu(1.2)).in_b3
+    c125 = classify_mu(FloatMu(1.25))
+    assert c125.in_b3 and c125.b3_witness == 4 and not c125.heuristic
     c1f = classify_mu(FloatMu(1.0))
-    assert c1f.in_b2 and c1f.b2_witness == 2
-    assert not classify_mu(FloatMu(1.0 + 4e-16)).in_b3  # epsilon above 1
+    assert c1f.in_b2 and c1f.b2_witness == 2 and c1f.in_b1 and not c1f.heuristic
+    # 1.0 + 4e-16 rounds to 1 + 2^-51, which is 1 + 1/k exactly
+    assert classify_mu(FloatMu(1.0 + 4e-16)).b3_witness == 2 ** 51
+    # the double nearest an irrational member is not that member
+    assert not classify_mu(FloatMu(mu_value(B2Mu(1, 4)))).in_b2
+    assert not classify_mu(FloatMu(mu_value(B1Mu(1, 4, 2)))).in_b1
 
 
 def test_b1_values_near_small_fractions_are_zero_or_plus_minus_one():
@@ -187,39 +196,46 @@ def _memberships(c):
 
 
 def test_rationals_are_exact_and_agree_with_their_floats():
-    cases = 0
+    # a float agrees with p/q where its double is p/q; elsewhere its double is a
+    # dyadic rational other than 0, +-1 and 1 + 1/k, so it is in no class
+    cases = stored = 0
     for q in range(1, 41):
         for p in range(-160, 161):
             if math.gcd(p, q) != 1:
                 continue
             exact = classify_mu(RationalMu(p, q))
             assert not exact.heuristic, (p, q)
-            assert _memberships(exact) == _memberships(classify_mu(FloatMu(p / q))), (p, q)
+            c = classify_mu(FloatMu(p / q))
+            if Fraction(p / q) == Fraction(p, q):
+                assert c == exact, (p, q)
+                stored += 1
+            else:
+                assert _memberships(c) == (False, False, False, None, None, None), (p, q)
             cases += 1
-    assert cases == 7821
+    assert (cases, stored) == (7821, 1121)  # stored: q a power of two up to 32
 
 
 @pytest.mark.parametrize("x", [1e4, 1e5, 1e8, 1e10, -1e8])
 def test_large_floats_are_not_b1(x):
-    # far outside [-6, 6], where the B1 values the scan can see lie
+    # integers other than 0 and +-1, so exactly outside B1
     c = classify_mu(FloatMu(x))
-    assert not c.in_b1 and c.b1_witness is None and c.heuristic
+    assert not c.in_b1 and c.b1_witness is None and not c.heuristic
 
 
-def test_scanned_b1_members_are_found_from_their_floats():
-    for (n0, q, p), value in measure._b1_scan_members():
-        assert classify_mu(B1Mu(p, q, n0)).b1_witness == (p, q, n0)
-        c = classify_mu(FloatMu(value))
-        assert c.in_b1 and c.heuristic
-        # the least witness of the value, which may belong to another member
-        w_p, w_q, w_n0 = c.b1_witness
-        assert (w_n0, w_q, w_p) <= (n0, q, p)
-        assert abs(mu_value(B1Mu(w_p, w_q, w_n0)) - value) < 1e-9
-    # G_2 and G_21 first share the zero of B1Mu(1, 19, 2), beyond the scan's depth of 20
-    assert not classify_mu(FloatMu(mu_value(B1Mu(1, 19, 2)))).in_b1
-    x = mu_value(B1Mu(1, 4, 2))
-    assert classify_mu(FloatMu(x + 1e-10)).b1_witness == (1, 4, 2)
-    assert not classify_mu(FloatMu(x + 1e-8)).in_b1
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.225073858507201e-308)  # largest subnormal, negated
+@example(1e308)
+@example(1.0 + 2.0 ** -51)
+@example(-1.0)
+@example(2.0)
+def test_a_float_is_classified_as_the_rational_it_stores(x):
+    c = classify_mu(FloatMu(x))
+    assert c == classify_mu(RationalMu(*x.as_integer_ratio()))
+    assert not c.heuristic
 
 
 def test_heuristic_flag_is_set_exactly_when_a_scan_runs():
@@ -227,7 +243,10 @@ def test_heuristic_flag_is_set_exactly_when_a_scan_runs():
     assert not classify_mu(B1Mu(1, 4, 5)).heuristic  # n = 1 mod q: B2 by construction
     b1 = classify_mu(B1Mu(1, 4, 6))  # B2 membership needs the U_k scan
     assert b1.heuristic and not b1.in_b3
-    assert classify_mu(FloatMu(7.0)).heuristic
+    # a rational B1 value (q | 2n + 1 here) takes its B2 witness from the table
+    b1_one = classify_mu(B1Mu(1, 5, 2))
+    assert b1_one.b2_witness == 2 and not b1_one.heuristic
+    assert not classify_mu(FloatMu(7.0)).heuristic
 
 
 # ---------------------------------------------------------------------------

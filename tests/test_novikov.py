@@ -36,6 +36,9 @@ def test_negative_mu_mirrors_through_the_level_polynomials():
     for e in seq.entries:
         assert abs(float(g_zeros(e.m, -1.5).min()) - e.x_m) < 1e-14
     assert ns_invariant(-3.0, 30).closed_form == ns_invariant(3.0, 30).closed_form
+    # a refusal quotes the mu that was given, not the mirrored one
+    with pytest.raises(DomainError, match=r"at mu=-1e\+150 exceeds the work bound"):
+        gap_sequence(-1e150, 40)
     for mu in (-1.0, -0.9):
         with pytest.raises(DomainError):
             gap_sequence(mu, 40)
@@ -221,17 +224,46 @@ def test_effort_is_recorded_per_entry():
     assert all(3 <= e.passes <= 12 for e in seq.entries[1:])
 
 
+@pytest.mark.parametrize("mu, depth", [(2.0, 30), (3.0, 20), (Fraction(7, 6), 20),
+                                       (1.001, 1005), (-3.0, 20)])
+def test_newton_iterates_rise_without_passing_the_eigenvalue(monkeypatch, mu, depth):
+    # started at the limit point, left of every eigenvalue, each Newton step
+    # rises towards the smallest one and never passes it: every iterate before
+    # the certified one has Sturm count 0.  The one exception is an iterate
+    # exactly on the eigenvalue, which the count (a zero pivot is taken as
+    # negative) includes: at m = 1 the determinant -mu/2 - x is linear, so
+    # the first step lands on -mu/2 itself.
+    newton_pass = novikov._newton_pass_mp
+    iterates = {}
+
+    def recording(mmu, m, x):
+        count = novikov._count_below_mp(mmu, m, x)
+        iterates.setdefault(m, []).append((x, count, mmu))
+        return newton_pass(mmu, m, x)
+
+    monkeypatch.setattr(novikov, "_newton_pass_mp", recording)
+    seq = gap_sequence(mu, depth)
+    # at mu = 7/6 the first entry, m = 6, is the exact band edge and runs no pass
+    assert sorted(iterates) == [e.m for e in seq.entries if e.passes]
+    for m, steps in iterates.items():
+        for x, count, mmu in steps:
+            assert count == 0 or (m == 1 and x == -mmu / 2), (m, x)
+        xs = [x for x, _, _ in steps]
+        assert all(a < b for a, b in zip(xs, xs[1:])), m
+
+
 @pytest.mark.parametrize(
     "stalled_step", [mp.mpf(1), mp.mpf(0), None], ids=["leaves-bracket", "zero", "none"]
 )
 def test_non_converging_newton_raises(monkeypatch, stalled_step):
-    # a pass that never finds the eigenvalue: the loop must stop at its cap and
-    # must not return the uncertified iterate
+    # a pass that never finds the eigenvalue (a step away from it, a zero step
+    # or no step): the loop must stop, at its cap or at once when there is no
+    # step, and must not return the uncertified iterate
     calls = []
 
     def stalled(mmu, m, x):
         calls.append(x)
-        return 0, stalled_step
+        return stalled_step
 
     monkeypatch.setattr(novikov, "_newton_pass_mp", stalled)
     with pytest.raises(ConvergenceError) as info:
