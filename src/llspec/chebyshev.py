@@ -27,14 +27,6 @@ _BIG = 2.0 ** 512
 _BIG_INV = 2.0 ** -512
 
 
-def _u_pair_exact(n, x):
-    """(U_{n-1}(x), U_n(x)) in the arithmetic of x (int / Fraction)."""
-    prev, cur = 0, 1  # U_{-1}, U_0
-    for _ in range(n):
-        prev, cur = cur, 2 * x * cur - prev
-    return prev, cur
-
-
 def u_pair_scaled(n: int, x: float) -> tuple[float, float, int]:
     """Return (p, c, e) with U_{n-1}(x) = p * 2^e and U_n(x) = c * 2^e."""
     if n < 0:
@@ -66,7 +58,10 @@ def u_eval(n: int, x):
     if n < 0:
         raise DomainError("degree must be nonnegative")
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return _u_pair_exact(n, x)[1]
+        prev, cur = 0, 1  # U_{-1}, U_0
+        for _ in range(n):
+            prev, cur = cur, 2 * x * cur - prev
+        return cur
     _, cur, e = u_pair_scaled(n, float(x))
     return _ldexp_safe(cur, e)
 

@@ -130,6 +130,9 @@ def _tolerance(text: str) -> float:
 # faster than depth^2: on 2 cores the slowest, `zeros --check` at one mu, took
 # 1.0 s at depth 200 and 6.0 s at 400 (`dos --check`: 1.0 s and 3.7 s)
 _DEPTH_MAX = 200
+# most --sites of dos: on 2 cores 10^7 sites took 2.8 s as CSV, so this stays near
+# 28 s, inside the grid budget `_GRID_SECONDS_MAX`; 10^9 would write about 40 GB
+_SITES_MAX = 10**8
 
 
 def _depth(depth: int) -> int:
@@ -219,9 +222,9 @@ def _cmd_eigs(args) -> _Result:
     payload = {"mu": args.mu, "level": n, "eigenvalues": [float(v) for v in eigs]}
     failed = False
     if args.check:
-        # the factorization's roots: 4 - mu, G_k's zeros 2^(n-1-k) times for k < n, G_n's once
+        # the factorization's roots: 4 - mu, and G_k's zeros as often as its exponent
         factored = np.sort(np.concatenate([[4.0 - mu]] + [
-            np.repeat(ghpolys.g_zeros(k, mu), 1 << (n - 1 - k) if k < n else 1)
+            np.repeat(ghpolys.g_zeros(k, mu), lamplighter._g_exponent(n, k))
             for k in range(1, n + 1)]))
         failed = (len(eigs) != len(factored)
                   or not np.max(np.abs(np.sort(eigs) - factored)) <= args.tol)
@@ -254,15 +257,17 @@ def _cmd_zeros(args) -> _Result:
 def _cmd_spectrum(args) -> _Result:
     from . import jacobi
 
-    mu = measure.mu_value(measure.parse_mu(args.mu))
+    mu_param = measure.parse_mu(args.mu)
+    mu = measure.mu_value(mu_param)
     pencil = jacobi.pencil_spectrum(mu)
     jstar = jacobi.jstar_spectrum(mu)
+    onset = jacobi.critical_index(measure.mu_exact(mu_param)) if abs(mu) > 1 else None
     payload = {
         "mu": args.mu,
         "pencil": {
             "band": list(pencil.band),
             "accumulation_point": pencil.isolated,
-            "outlier_onset_index": jacobi.critical_index(mu) if abs(mu) > 1 else None,
+            "outlier_onset_index": onset,
         },
         "jstar": {
             "band": list(jstar.band),
@@ -467,6 +472,8 @@ def _cmd_dos(args) -> _Result:
     from . import anderson
 
     depth = _depth(args.depth)
+    if not 1 <= args.sites <= _SITES_MAX:
+        raise DomainError(f"--sites must be in [1, {_SITES_MAX}], got {args.sites}")
     mu_param = measure.parse_mu(args.mu)
     mu = measure.mu_value(mu_param)
     ids = anderson.line_ids(args.seed, args.sites, mu)
@@ -492,9 +499,7 @@ def _cmd_dos(args) -> _Result:
 def _cmd_ns(args) -> _Result:
     from . import novikov
 
-    mu_param = measure.parse_mu(args.mu)
-    frac = measure.mu_fraction(mu_param)
-    mu = frac if frac is not None else measure.mu_value(mu_param)
+    mu = measure.mu_exact(measure.parse_mu(args.mu))
     seq = novikov.gap_sequence(mu, args.depth)
     rate = novikov.decay_rate(seq)
     inv = novikov.ns_invariant(mu, args.depth, seq=seq)

@@ -96,10 +96,7 @@ def g_value_recursive(k: int, lam: float, mu: float) -> float:
             g *= _BIG_INV
             h *= _BIG_INV
             e += 512
-    try:
-        return math.ldexp(g, e)
-    except OverflowError:
-        return math.copysign(math.inf, g)
+    return _ldexp_safe(g, e)
 
 
 def angular_form(k: int, t: float, mu: float) -> float:

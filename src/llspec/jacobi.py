@@ -154,9 +154,22 @@ def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
     return counts
 
 
+def _finite(mu) -> float:
+    """float(mu), refused unless finite: the guard of every closed form in mu."""
+    x = float(mu)
+    if not math.isfinite(x):
+        raise DomainError(f"parameter must be finite, got {x!r}")
+    return x
+
+
+def as_fraction(mu) -> Fraction:
+    """The exact rational of an int or a Fraction, or the one a finite float stores."""
+    return Fraction(mu if isinstance(mu, (int, Fraction)) else _finite(mu))
+
+
 def isolated_eigenvalue(mu: float):
     """-mu/2 - 1/mu when |mu| > 1, else None (the band is all there is)."""
-    mu = float(mu)
+    mu = _finite(mu)
     if abs(mu) <= 1.0:
         return None
     return -mu / 2.0 - 1.0 / mu
@@ -169,7 +182,7 @@ def isolated_mass(mu: float) -> float:
     with the square root analytic off [-2, 2] simplifies to 1 - 1/mu^2 on
     both components |mu| > 1; the mass is zero for |mu| <= 1.
     """
-    mu = float(mu)
+    mu = _finite(mu)
     if abs(mu) <= 1.0:
         return 0.0
     return 1.0 - 1.0 / (mu * mu)
@@ -184,7 +197,7 @@ def ac_density(x: float, mu: float) -> float:
     touches a band endpoint; evaluation exactly there raises.
     """
     x = float(x)
-    mu = float(mu)
+    mu = _finite(mu)
     lo, hi = jstar_band(mu)
     if x < lo or x > hi:
         return 0.0
@@ -198,27 +211,25 @@ def critical_index(mu) -> int:
     """Smallest truncation size whose polynomial acquires an out-of-band zero.
 
     The unique m with (m+1)/m <= |mu| < m/(m-1) (the right bound read as
-    +infinity at m = 1).  Exact for int/Fraction input; floats snap to the
-    boundary when within 1e-12 relative.
+    +infinity at m = 1), decided exactly for the rational `as_fraction(mu)`:
+    a float is the rational its double stores, so the double nearest 1.2,
+    which lies below 6/5, has index 6, and 6/5 itself has index 5.
     """
-    if isinstance(mu, (int, Fraction)) and not isinstance(mu, bool):
-        a = abs(Fraction(mu))
-        if a <= 1:
-            raise DomainError("critical index requires |mu| > 1")
-        return max(1, math.ceil(1 / (a - 1)))
-    a = abs(float(mu))
-    if a <= 1.0:
+    a = abs(as_fraction(mu))
+    if a <= 1:
         raise DomainError("critical index requires |mu| > 1")
-    r = 1.0 / (a - 1.0)
-    nearest = round(r)
-    if nearest >= 1 and abs(r - nearest) <= 1e-12 * max(1.0, abs(r)):
-        return int(nearest)
-    return max(1, math.ceil(r))
+    return math.ceil(1 / (a - 1))
+
+
+def band_edge_index(mu) -> int | None:
+    """The m with |mu| = (m+1)/m exactly, where G_m's zero sits on the band edge; else None."""
+    excess = abs(as_fraction(mu)) - 1
+    return excess.denominator if excess > 0 and excess.numerator == 1 else None
 
 
 def jstar_spectrum(mu: float) -> SpectrumDescription:
     """Spectrum of J*(mu): the band, plus the isolated point when |mu| > 1."""
-    mu = float(mu)
+    mu = _finite(mu)
     return SpectrumDescription(
         band=jstar_band(mu),
         isolated=isolated_eigenvalue(mu),
@@ -234,7 +245,7 @@ def pencil_spectrum(mu: float) -> SpectrumDescription:
     of the (transported) J* orthogonality measure there; the spectral measure
     of the pencil itself has no atom at the accumulation point.
     """
-    mu = float(mu)
+    mu = _finite(mu)
     isolated = None
     if abs(mu) > 1.0:
         isolated = mu + 2.0 / mu

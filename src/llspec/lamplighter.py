@@ -152,11 +152,16 @@ def phi_det(n: int, lam: float, mu: float) -> float:
     return _signlog_float(*phi_det_signlog(n, lam, mu))
 
 
+def _g_exponent(n: int, k: int) -> int:
+    """Exponent of G_k in the level-n factorization: 2^(n-1-k) for k < n, 1 for k = n."""
+    return 1 if k == n else 1 << (n - 1 - k)
+
+
 def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     """(sign, ln|Phi_n|) from the factored product over the level polynomials.
 
-    The factor G_k enters with exponent 2^(n-1-k) for k < n and exponent 1
-    for k = n; at n = 0 the lead factor 4 - lam - mu is the whole product.
+    The factor G_k enters with exponent `_g_exponent(n, k)`; at n = 0 the
+    lead factor 4 - lam - mu is the whole product.
     Working in log-magnitude keeps exponents of order 2^n exact where plain
     floats would overflow by n around 15.
     """
@@ -168,7 +173,7 @@ def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]
     sign = math.copysign(1.0, lead)
     logabs = math.log(abs(lead))
     for k in range(1, n + 1):
-        exponent = 1 if k == n else 1 << (n - 1 - k)
+        exponent = _g_exponent(n, k)
         gs, gl = g_signlog(k, lam, mu)
         if gs == 0.0:
             return 0.0, -math.inf

@@ -44,6 +44,7 @@ from typing import Union
 
 from .chebyshev import u_eval
 from .errors import DomainError
+from .jacobi import band_edge_index
 
 __all__ = [
     "FloatMu",
@@ -52,7 +53,7 @@ __all__ = [
     "B2Mu",
     "MuParam",
     "mu_value",
-    "mu_fraction",
+    "mu_exact",
     "parse_mu",
     "format_mu",
     "MuClassification",
@@ -97,10 +98,6 @@ class RationalMu:
         object.__setattr__(self, "p", self.p // g)
         object.__setattr__(self, "q", self.q // g)
         _require_float_value(self)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -184,11 +181,11 @@ def _require_float_value(mu: MuParam) -> None:
         raise DomainError("parameter value does not fit in a float")
 
 
-def mu_fraction(mu: MuParam):
-    """Exact Fraction value when the form carries one, else None."""
+def mu_exact(mu: MuParam) -> Fraction:
+    """Exact value of any form: p/q for a RationalMu, else the rational `mu_value` stores."""
     if isinstance(mu, RationalMu):
-        return mu.fraction
-    return None
+        return Fraction(mu.p, mu.q)
+    return Fraction(mu_value(mu))
 
 
 def parse_mu(text: str) -> MuParam:
@@ -313,10 +310,9 @@ def classify_mu(mu: MuParam) -> MuClassification:
             b2, heuristic = _b2_scan(mu_value(mu)), True
     else:
         # a float is the rational its double stores; mu_value refuses a non-form
-        frac = mu.fraction if isinstance(mu, RationalMu) else Fraction(mu_value(mu))
+        frac = mu_exact(mu)
         b1, b2 = _RATIONAL_B1.get(frac), _RATIONAL_B2.get(frac)
-        if frac > 1 and (frac - 1).numerator == 1:
-            b3 = (frac - 1).denominator
+        b3 = band_edge_index(frac) if frac > 0 else None
     return MuClassification(b1 is not None, b2 is not None, b3 is not None, heuristic, b1, b2, b3)
 
 
@@ -409,25 +405,24 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
 def multiplicity_in_phi(n: int, lam: float, mu: MuParam) -> int:
     """Multiplicity of lam as a root of the level-n determinant.
 
-    The factorization gives exponent 2^(n-1-k) to a zero of G_k for k < n,
-    exponent 1 for k = n, plus 1 if lam is the root 4 - mu of the leading
-    factor; collisions simply add exponents.  Contributing indices are found
-    by matching lam against each zero set (and against 4 - mu) with
-    `coalesce_tol`, which realizes the same case rules as the exceptional-set
-    classification and is directly checkable against the dense eigensolver.
+    A zero of G_k has G_k's exponent in the factorization, plus 1 if lam is
+    the root 4 - mu of the leading factor; collisions simply add exponents.
+    Contributing indices are found by matching lam against each zero set (and
+    against 4 - mu) with `coalesce_tol`, which realizes the same case rules as
+    the exceptional-set classification and is directly checkable against the
+    dense eigensolver.
     """
     import numpy as np
 
     from .ghpolys import g_zeros
+    from .lamplighter import _g_exponent
 
     if n < 1:
         raise DomainError("level must be >= 1")
     x = mu_value(mu)
     tol = coalesce_tol(x)
-    contributing = [k for k in range(1, n + 1) if np.min(np.abs(g_zeros(k, x) - lam)) <= tol]
-    mult = sum(1 << (n - 1 - k) for k in contributing if k < n)
-    if n in contributing:
-        mult += 1
+    mult = sum(_g_exponent(n, k) for k in range(1, n + 1)
+               if np.min(np.abs(g_zeros(k, x) - lam)) <= tol)
     if abs(lam - (4.0 - x)) <= tol:
         mult += 1
     if mult == 0:

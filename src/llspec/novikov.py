@@ -21,7 +21,9 @@ of width mu^(-2m) * 1e-6 around it, far below the gap.  The working
 precision also carries log10(mu) digits for the size of the eigenvalue
 itself, and mu is capped at 1e150, where mu^-2 is still a normal double.  A
 sequence whose estimated work (pivot steps weighted by their precision)
-exceeds `_WORK_MAX` is refused before any of it is done.
+exceeds `_WORK_MAX` is refused before any of it is done.  mu is the exact
+rational it stores, so the sequence starts at the exact critical index, and
+x_m is the band edge 4 - mu, unsolved, only where mu = (m+1)/m exactly.
 
 The two slopes are least-squares fits from the standard library
 (`statistics.linear_regression`), so this module needs no numpy.
@@ -37,7 +39,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, InsufficientDataError
-from .jacobi import critical_index
+from .jacobi import as_fraction, band_edge_index, critical_index
 
 _LN2 = math.log(2.0)
 # largest mu for a gap sequence: the decay rate mu^-2 and the `ns --check`
@@ -76,19 +78,6 @@ class GapSequence:
 class NsInvariant:
     closed_form: float
     empirical: float
-
-
-def _to_mpf(mu) -> mp.mpf:
-    if isinstance(mu, Fraction):
-        return mp.mpf(mu.numerator) / mu.denominator
-    return mp.mpf(mu)
-
-
-def _is_boundary(mu, m: int) -> bool:
-    """Exact check for mu = (m+1)/m, where the zero sits at the band edge."""
-    if isinstance(mu, Fraction):
-        return mu * m == m + 1
-    return float(mu) * m == float(m + 1)
 
 
 def _zero_pivot() -> mp.mpf:
@@ -140,7 +129,7 @@ def _digits(muf: float, m: int) -> int:
     return max(30, int(2 * m * math.log10(muf)) + 25) + max(0, int(math.log10(muf)))
 
 
-def _outlier_zero_mp(mu, m: int) -> GapEntry:
+def _outlier_zero_mp(mu: Fraction, m: int) -> GapEntry:
     """The largest zero x_m of G_m and its gap to mu + 2/mu, for mu > 1.
 
     x_m = -2 e, where e is the single truncation eigenvalue below the band,
@@ -157,7 +146,7 @@ def _outlier_zero_mp(mu, m: int) -> GapEntry:
     muf = float(mu)
     digits = _digits(muf, m)
     with mp.workdps(digits):
-        mmu = _to_mpf(mu)
+        mmu = mp.mpf(mu.numerator) / mu.denominator
         target = mmu + 2 / mmu
 
         def outlier(x_m, passes):
@@ -165,7 +154,7 @@ def _outlier_zero_mp(mu, m: int) -> GapEntry:
             return GapEntry(m=m, x_m=float(x_m), gap=float(gap),
                             log2_gap=float(mp.log(gap, 2)), digits=digits, passes=passes)
 
-        if _is_boundary(mu, m):
+        if band_edge_index(mu) == m:
             return outlier(4 - mmu, 0)
         width = mp.mpf(muf) ** (-2 * m) * mp.mpf(10) ** -6
         x, last, passes = -mmu / 2 - 1 / mmu, mp.inf, 0
@@ -193,14 +182,16 @@ def _outlier_zero_mp(mu, m: int) -> GapEntry:
 def gap_sequence(mu, M: int) -> GapSequence:
     """Gaps |x_m - (mu + 2/mu)| for m from the critical index up to M, |mu| > 1.
 
-    A mu below -1 is solved at |mu|, then each x_m is negated.
+    mu is turned into the exact rational it stores once, here.  A mu below -1
+    is solved at |mu|, then each x_m is negated.
     """
+    mu = as_fraction(mu)
     muf = float(mu)
-    if abs(muf) <= 1.0:
+    if abs(mu) <= 1:
         raise DomainError("gap sequence requires |mu| > 1")
-    if abs(muf) > _MU_MAX:
+    if abs(mu) > _MU_MAX:
         raise DomainError(f"gap sequence requires |mu| <= {_MU_MAX:g}, got {muf:g}")
-    start = critical_index(mu if isinstance(mu, Fraction) else muf)  # depends on |mu| only
+    start = critical_index(mu)  # depends on |mu| only
     if M < start + 5:
         raise DomainError(f"need M >= {start + 5} for a usable sequence")
     work = 0.0
@@ -249,7 +240,7 @@ def ns_invariant(mu, M: int = 60, seq: GapSequence | None = None) -> NsInvariant
     log(gap_m) over the tail window of a depth-M gap sequence.  A caller that
     already holds `gap_sequence(mu, M)` passes it as `seq` to skip rebuilding.
     """
-    muf = abs(float(mu))
+    muf = abs(float(as_fraction(mu)))
     if muf <= 1.0:
         raise DomainError("the exponent is defined for |mu| > 1")
     closed = _LN2 / (2.0 * math.log(muf))

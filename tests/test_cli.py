@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -360,6 +361,46 @@ def test_depth_bound_admits_the_benchmark_depths(capsys):
     assert deepest >= 60  # the deepest benchmark command, `ns` aside
     code, out, _ = _run(capsys, "joint-spectrum", "--grid", "0", "--depth", str(deepest))
     assert code == EXIT_OK and len(out.splitlines()) == 1 + deepest * (deepest + 1) // 2
+
+
+class _Sampled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("sites", [-5, 0, 1, cli._SITES_MAX, cli._SITES_MAX + 1, 10**9])
+def test_sites_are_checked_before_any_sampling(capsys, monkeypatch, sites):
+    def sampled(*args):
+        raise _Sampled
+
+    monkeypatch.setattr(anderson, "line_ids", sampled)
+    if 1 <= sites <= cli._SITES_MAX:
+        with pytest.raises(_Sampled):
+            main(["dos", "--mu", "float:0.3", "--sites", str(sites)])
+        return
+    code, out, err = _run(capsys, "dos", "--mu", "float:0.3", "--sites", str(sites))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == [f"error: --sites must be in [1, 100000000], got {sites}"]
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argv of each `llspec ...` line in the README's usage block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+            if line.startswith("llspec ")]
+
+
+def test_readme_has_nine_examples():
+    assert [argv[0] for argv in _readme_examples()] == [
+        "char-poly", "eigs", "zeros", "spectrum", "measure", "multiplicity", "joint-spectrum",
+        "dos", "ns"]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_readme_examples_run(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.stat().st_size > 0
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -7,17 +7,19 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from llspec.chebyshev import u_zeros
 from llspec.errors import DomainError
 from llspec.ghpolys import g_zeros
+from llspec.measure import FloatMu, RationalMu, classify_mu
 from llspec.jacobi import (
     SpectrumDescription,
     TridiagonalMatrix,
     ac_density,
+    band_edge_index,
     critical_index,
     isolated_eigenvalue,
     isolated_mass,
@@ -202,8 +204,10 @@ def test_critical_index_table():
     assert critical_index(Fraction(7, 6)) == 6
     assert critical_index(1.5) == 2
     assert critical_index(2.0) == 1
-    assert critical_index(1.2) == 5
-    assert critical_index(-1.2) == 5
+    # the double nearest 1.2 lies below 6/5, so its index is one more than 6/5's
+    assert critical_index(1.2) == 6
+    assert critical_index(-1.2) == 6
+    assert critical_index(Fraction(6, 5)) == 5
     assert critical_index(7.0) == 1
     for k in range(1, 13):
         assert critical_index(Fraction(k + 1, k)) == k
@@ -211,6 +215,57 @@ def test_critical_index_table():
         critical_index(1.0)
     with pytest.raises(DomainError):
         critical_index(Fraction(1, 2))
+
+
+def _index_bounds_hold(a: Fraction, m: int) -> bool:
+    """(m+1)/m <= a < m/(m-1), the right bound read as +infinity at m = 1."""
+    return Fraction(m + 1, m) <= a and (m == 1 or a < Fraction(m, m - 1))
+
+
+_ABOVE_ONE = st.floats(min_value=1.0, max_value=1e150, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(_ABOVE_ONE, _ABOVE_ONE.map(lambda v: -v)))
+@example(x=1.0 + 2.0**-52)
+@example(x=1.2)
+@example(x=1.001)
+@example(x=1.3333333333333333)
+@example(x=1.25)
+@example(x=-1.5)
+def test_critical_index_is_exact_for_the_rational_a_double_stores(x):
+    m = critical_index(x)
+    assert _index_bounds_hold(abs(Fraction(x)), m)
+    assert band_edge_index(x) == (m if abs(Fraction(x)) * m == m + 1 else None)
+    if x > 0:
+        assert (classify_mu(FloatMu(x)).b3_witness == m) == (Fraction(x) * m == m + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(-50, 50), q=st.integers(1, 50))
+def test_critical_index_is_exact_for_small_rationals(p, q):
+    a = Fraction(p, q)
+    assume(abs(a) > 1)
+    m = critical_index(a)
+    assert _index_bounds_hold(abs(a), m)
+    edge = m if abs(a) * m == m + 1 else None
+    assert band_edge_index(a) == edge
+    if a > 0:
+        assert classify_mu(RationalMu(p, q)).b3_witness == edge
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("mu", _NON_FINITE)
+@pytest.mark.parametrize("closed_form", [
+    isolated_eigenvalue, isolated_mass, jstar_spectrum, pencil_spectrum, critical_index,
+    band_edge_index, lambda mu: ac_density(0.0, mu),
+], ids=["isolated_eigenvalue", "isolated_mass", "jstar_spectrum", "pencil_spectrum",
+        "critical_index", "band_edge_index", "ac_density"])
+def test_closed_forms_refuse_a_non_finite_mu(closed_form, mu):
+    with pytest.raises(DomainError, match="parameter must be finite"):
+        closed_form(mu)
 
 
 def test_spectrum_descriptions():

@@ -10,8 +10,14 @@ import pytest
 from llspec import novikov
 from llspec.errors import ConvergenceError, DomainError, InsufficientDataError
 from llspec.ghpolys import g_zeros
-from llspec.jacobi import critical_index
+from llspec.jacobi import band_edge_index, critical_index
 from llspec.novikov import GapEntry, GapSequence, decay_rate, gap_sequence, ns_invariant
+
+
+def _mpf(mu) -> mp.mpf:
+    """mu as the exact rational it stores, at the working precision."""
+    frac = Fraction(mu)
+    return mp.mpf(frac.numerator) / frac.denominator
 
 
 def test_domain_guards():
@@ -25,6 +31,14 @@ def test_domain_guards():
         ns_invariant(0.5)
     with pytest.raises(InsufficientDataError):
         decay_rate(GapSequence(mu=2.0, target=3.0, entries=tuple()))
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_non_finite_mu_is_refused(mu):
+    with pytest.raises(DomainError, match="parameter must be finite"):
+        gap_sequence(mu, 60)
+    with pytest.raises(DomainError, match="parameter must be finite"):
+        ns_invariant(mu)
 
 
 def test_negative_mu_mirrors_through_the_level_polynomials():
@@ -50,6 +64,25 @@ def test_sequence_starts_at_critical_index():
     assert gap_sequence(1.5, 12).entries[0].m == 2
     assert gap_sequence(2.0, 12).entries[0].m == 1
     assert gap_sequence(Fraction(7, 6), 15).entries[0].m == 6
+    # the double nearest 1.2 lies below 6/5: its sequence starts one later
+    assert gap_sequence(1.2, 20).entries[0].m == 6
+    assert gap_sequence(Fraction(6, 5), 20).entries[0].m == 5
+
+
+@pytest.mark.parametrize("mu", [1.2, -1.2, 1.001, 1.1, 1.1428571428571428,
+                                1.3333333333333333, 1.1666666666666667])
+def test_first_entry_is_a_true_outlier(mu):
+    # none of these doubles is (m+1)/m, so the first entry is solved, and one
+    # eigenvalue of its truncation lies below the band bottom |mu|/2 - 2: the
+    # smallest, which the solved one is, since nothing lies left of its bracket
+    first = gap_sequence(mu, critical_index(mu) + 5).entries[0]
+    assert first.m == critical_index(mu) and first.passes > 0
+    with mp.workdps(first.digits + 20):
+        mmu = _mpf(abs(mu))
+        assert novikov._count_below_mp(mmu, first.m, mmu / 2 - 2) == 1
+        eig = -(mmu + 2 / mmu - mp.mpf(first.gap)) / 2
+        width = mmu ** (-2 * first.m) * mp.mpf(10) ** -6
+        assert novikov._count_below_mp(mmu, first.m, eig - width / 2) == 0
 
 
 def test_boundary_entry_is_exact():
@@ -152,7 +185,7 @@ def _reference_gap(mu, m, extra_digits=30):
     """
     digits = max(30, int(2 * m * math.log10(float(mu))) + 25) + extra_digits
     with mp.workdps(digits):
-        mmu = novikov._to_mpf(mu)
+        mmu = _mpf(mu)
         lo, hi = -mmu / 2 - 1 / mmu, mmu / 2 - 2
         assert novikov._count_below_mp(mmu, m, lo) == 0 and novikov._count_below_mp(mmu, m, hi) >= 1
         width = mp.mpf(float(mu)) ** (-2 * m) * mp.mpf(10) ** (-6 - extra_digits)
@@ -168,7 +201,7 @@ def _reference_gap(mu, m, extra_digits=30):
 @pytest.mark.parametrize("mu,depth", _NEWTON_CASES)
 def test_gaps_match_a_tight_bisection(mu, depth):
     for e in gap_sequence(mu, depth).entries:
-        if novikov._is_boundary(mu, e.m):
+        if band_edge_index(mu) == e.m:
             continue
         ref = _reference_gap(mu, e.m)
         assert abs(e.gap / ref - 1) <= 1e-9, (e.m, e.gap, ref)
@@ -181,7 +214,7 @@ def test_each_zero_passes_the_sturm_certificate(mu, depth):
     # far inside the certified half-width
     for e in gap_sequence(mu, depth).entries:
         with mp.workdps(e.digits + 20):
-            mmu = novikov._to_mpf(mu)
+            mmu = _mpf(mu)
             eig = -(mmu + 2 / mmu - mp.mpf(e.gap)) / 2
             width = mp.mpf(float(mu)) ** (-2 * e.m) * mp.mpf(10) ** -6
             assert novikov._count_below_mp(mmu, e.m, eig - width / 2) == 0
@@ -200,7 +233,9 @@ def test_work_bound_refuses_before_any_mp_work(monkeypatch):
     # the deepest sequences within the bound, each about 3 to 9 s when solved,
     # then one level deeper: many short recurrences, long recurrences at 30
     # digits, and few recurrences at thousands of digits
-    for mu, depth in ((2.0, 372), (1.001, 1092), (1.0001, 10008), (1e150, 34)):
+    # (1.001 and 1.0001 are doubles below 1 + 1/1000 and 1 + 1/10000, so
+    # their sequences start at 1001 and 10001)
+    for mu, depth in ((2.0, 372), (1.001, 1093), (1.0001, 10009), (1e150, 34)):
         start = critical_index(mu)
         assert [e.m for e in gap_sequence(mu, depth).entries] == list(range(start, depth + 1))
         del solved[:]
@@ -225,7 +260,7 @@ def test_effort_is_recorded_per_entry():
 
 
 @pytest.mark.parametrize("mu, depth", [(2.0, 30), (3.0, 20), (Fraction(7, 6), 20),
-                                       (1.001, 1005), (-3.0, 20)])
+                                       (1.001, 1006), (-3.0, 20)])
 def test_newton_iterates_rise_without_passing_the_eigenvalue(monkeypatch, mu, depth):
     # started at the limit point, left of every eigenvalue, each Newton step
     # rises towards the smallest one and never passes it: every iterate before
@@ -267,6 +302,6 @@ def test_non_converging_newton_raises(monkeypatch, stalled_step):
 
     monkeypatch.setattr(novikov, "_newton_pass_mp", stalled)
     with pytest.raises(ConvergenceError) as info:
-        novikov._outlier_zero_mp(2.0, 10)
+        novikov._outlier_zero_mp(Fraction(2), 10)
     assert 0 < len(calls) <= 1000
     assert info.value.residual is not None and info.value.residual >= 0.0
