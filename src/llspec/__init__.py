@@ -32,8 +32,8 @@ _SUBMODULE_OF = {
             "pencil_spectrum", "tridiag_eigs",
         ),
         "lamplighter": (
-            "LevelRep", "PencilMatrix", "build_level", "dense_eigs", "level_cap",
-            "pencil_matrix", "phi_det", "phi_factorized",
+            "LevelRep", "PencilMatrix", "build_level", "dense_eigs", "pencil_matrix",
+            "phi_det", "phi_factorized",
         ),
         "measure": (
             "Atom", "AtomicMeasure", "B1Mu", "B2Mu", "FloatMu", "MuParam", "RationalMu",

@@ -17,10 +17,10 @@ decide by exact masses and `measure.coalesce_tol`, which merges measure atoms
 only where `measure.classify_mu` reports B1 or B2).  eigs --check compares the
 whole sorted spectrum with the roots of the factorization.  Domain and capacity
 errors, an --out path that cannot be opened and a failed write exit 2, and a
-solver that fails to converge exits 4.  The level cap (LLSPEC_NMAX) and the
-memory budget bind only the commands that build a level matrix: char-poly,
-eigs and multiplicity --check; plain multiplicity evaluates only the
-factorization, which the grid work bound alone limits.
+solver that fails to converge exits 4.  The memory budget binds the commands
+that build a level matrix (char-poly, eigs, multiplicity --check); the last two
+also refuse a level over `lamplighter._DENSE_LEVEL_MAX`.  Plain multiplicity
+evaluates only the factorization, which the grid work bound alone limits.
 
 Each handler returns what it computed as a `_Result`; `main` alone writes it,
 as CSV or JSON, and maps it to the exit code.
@@ -216,6 +216,7 @@ def _cmd_eigs(args) -> _Result:
 
     mu = measure.mu_value(measure.parse_mu(args.mu))
     n = args.level
+    lamplighter._check_dense_level(n)
     rep = lamplighter.build_level(n)
     eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, mu))
     rows = [(i, v) for i, v in enumerate(eigs)]
@@ -310,9 +311,10 @@ def _cmd_multiplicity(args) -> _Result:
     mu = measure.parse_mu(args.mu)
     grid = _parse_grid(args.grid, _zeros_seconds(args.level))
     tol = measure.coalesce_tol(measure.mu_value(mu))
-    # only the check builds the level matrix, so only it is held to the level
-    # cap and the memory budget; the factorization alone is bounded by the grid
+    # only the check builds and diagonalises the level matrix, so only it is held
+    # to the memory budget and the dense limit; the grid bounds the factorization
     if args.check:
+        lamplighter._check_dense_level(args.level)
         rep = lamplighter.build_level(args.level)
         eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, measure.mu_value(mu)))
     rows = []

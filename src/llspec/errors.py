@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Requested level exceeds the configured size bound (see LLSPEC_NMAX) or the memory budget."""
+    """Requested level exceeds the memory budget, or the dense eigensolver's level limit."""
 
 
 class ConvergenceError(RuntimeError):

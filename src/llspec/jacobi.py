@@ -154,11 +154,11 @@ def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
     return counts
 
 
-def _finite(mu) -> float:
+def _finite(mu, name: str = "parameter") -> float:
     """float(mu), refused unless finite: the guard of every closed form in mu."""
     x = float(mu)
     if not math.isfinite(x):
-        raise DomainError(f"parameter must be finite, got {x!r}")
+        raise DomainError(f"{name} must be finite, got {x!r}")
     return x
 
 
@@ -194,9 +194,9 @@ def ac_density(x: float, mu: float) -> float:
     sqrt(4 - (x - mu/2)^2) / (2 pi (mu x + mu^2/2 + 1)) on the band, zero
     outside.  The denominator vanishes only at the isolated point, which sits
     outside the band except in the degenerate case |mu| = 1, where the pole
-    touches a band endpoint; evaluation exactly there raises.
+    touches a band endpoint; evaluation there, or at a non-finite x, raises.
     """
-    x = float(x)
+    x = _finite(x, "x")
     mu = _finite(mu)
     lo, hi = jstar_band(mu)
     if x < lo or x > hi:

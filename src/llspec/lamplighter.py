@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,10 @@ import numpy as np
 from .errors import CapacityError, ConvergenceError, DomainError
 from .ghpolys import g_signlog
 
-_N_MAX_DEFAULT = 12
-# memory a level may take, whatever LLSPEC_NMAX allows: `phi_det_signlog`
-# holds three float64 copies of 8 * 4^n bytes (the cached pencil, the shifted
-# copy and LAPACK's), and peak RSS grew by 26-28 bytes per 4^n at levels 10
-# and 11, so a level is budgeted 30 * 4^n bytes; 2 GiB admits 13, refuses 14
+# memory a level may take: `phi_det_signlog` holds three float64 copies of
+# 8 * 4^n bytes (the cached pencil, the shifted copy and LAPACK's), and peak
+# RSS grew by 26-28 bytes per 4^n at levels 10 and 11, so a level is budgeted
+# 30 * 4^n bytes; 2 GiB admits 13, refuses 14
 _LEVEL_BYTES_PER_ENTRY = 30
 _LEVEL_BYTES_MAX = 2 << 30
 # cyclic sweeps `dense_eigs` may run, and its stopping threshold relative to ||M||_F
@@ -44,27 +42,10 @@ _SWEEP_LIMIT = 50
 _TOL_FACTOR = 1e-12
 
 
-def level_cap() -> int:
-    """Largest allowed level n; override with the LLSPEC_NMAX env variable."""
-    raw = os.environ.get("LLSPEC_NMAX")
-    if raw is None:
-        return _N_MAX_DEFAULT
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CapacityError(f"LLSPEC_NMAX must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise CapacityError("LLSPEC_NMAX must be nonnegative")
-    return cap
-
-
 def _check_level(n: int):
-    cap = level_cap()
     if n < 0:
         raise DomainError("level must be nonnegative")
-    if n > cap:
-        raise CapacityError(f"level {n} exceeds the configured bound {cap}")
-    # min() keeps the integer small for any LLSPEC_NMAX; 30 * 4^64 is over any budget
+    # min() keeps the integer small for any n; 30 * 4^64 is over any budget
     if _LEVEL_BYTES_PER_ENTRY << (2 * min(n, 64)) > _LEVEL_BYTES_MAX:
         raise CapacityError(
             f"level {n} needs {_LEVEL_BYTES_PER_ENTRY} * 4^{n} bytes of dense matrices, "
@@ -185,6 +166,20 @@ def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]
 
 def phi_factorized(n: int, lam: float, mu: float) -> float:
     return _signlog_float(*phi_factorized_signlog(n, lam, mu))
+
+
+# highest level whose matrix `dense_eigs` diagonalises within the 60 s of
+# `cli._GRID_SECONDS_MAX`: on 2 cores level 9 took 21-33 s at mu = 0.3, 7/6,
+# 3, -1.5 and 100, and level 10 over 146 s
+_DENSE_LEVEL_MAX = 9
+
+
+def _check_dense_level(n: int):
+    """Refuse a level over the memory budget or over `_DENSE_LEVEL_MAX`, before any matrix."""
+    _check_level(n)
+    if n > _DENSE_LEVEL_MAX:
+        raise CapacityError(f"level {n} exceeds {_DENSE_LEVEL_MAX}, the highest level "
+                            f"the dense eigensolver finishes within 60 s")
 
 
 def dense_eigs(m: PencilMatrix) -> np.ndarray:

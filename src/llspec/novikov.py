@@ -186,11 +186,12 @@ def gap_sequence(mu, M: int) -> GapSequence:
     is solved at |mu|, then each x_m is negated.
     """
     mu = as_fraction(mu)
-    muf = float(mu)
     if abs(mu) <= 1:
         raise DomainError("gap sequence requires |mu| > 1")
-    if abs(mu) > _MU_MAX:
-        raise DomainError(f"gap sequence requires |mu| <= {_MU_MAX:g}, got {muf:g}")
+    if abs(mu) > _MU_MAX:  # compared exactly: float(mu) overflows from about 1.8e308
+        got = f"{float(mu):g}" if abs(mu) < 1e308 else "|mu| over 1e+308"
+        raise DomainError(f"gap sequence requires |mu| <= {_MU_MAX:g}, got {got}")
+    muf = float(mu)
     start = critical_index(mu)  # depends on |mu| only
     if M < start + 5:
         raise DomainError(f"need M >= {start + 5} for a usable sequence")
@@ -238,14 +239,12 @@ def ns_invariant(mu, M: int = 60, seq: GapSequence | None = None) -> NsInvariant
     closed_form = log 2 / (2 log |mu|).  The empirical value regresses the
     accumulated mass exponent log(2^-m) on the interval-length exponent
     log(gap_m) over the tail window of a depth-M gap sequence.  A caller that
-    already holds `gap_sequence(mu, M)` passes it as `seq` to skip rebuilding.
+    already holds `gap_sequence(mu, M)` passes it as `seq` to skip rebuilding;
+    both values are read from the sequence, which refuses every mu it cannot take.
     """
-    muf = abs(float(as_fraction(mu)))
-    if muf <= 1.0:
-        raise DomainError("the exponent is defined for |mu| > 1")
-    closed = _LN2 / (2.0 * math.log(muf))
     if seq is None:
         seq = gap_sequence(mu, M)
+    closed = _LN2 / (2.0 * math.log(abs(seq.mu)))
     window = _tail_window(seq.entries)
     xs = [e.log2_gap * _LN2 for e in window]
     ys = [-e.m * _LN2 for e in window]

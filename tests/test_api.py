@@ -1,5 +1,7 @@
-"""The package's public names and the functions the benchmark traces, pinned on purpose."""
+"""The package's public names, the functions the benchmark traces and the
+environment it reads, pinned on purpose."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import llspec
+from llspec import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -23,7 +26,7 @@ PUBLIC = [
     "decay_rate", "dense_eigs", "empirical_ids", "errors", "format_mu", "g_value",
     "g_value_recursive", "g_zeros", "gap_sequence", "ghpolys", "isolated_eigenvalue",
     "isolated_mass", "jacobi", "jstar_spectrum", "jstar_truncation", "lamplighter",
-    "level_cap", "line_ids", "measure", "measure_truncation", "mu_value",
+    "line_ids", "measure", "measure_truncation", "mu_value",
     "multiplicity_in_phi", "novikov", "ns_invariant", "parse_mu", "pencil_matrix",
     "pencil_spectrum", "phi_det", "phi_factorized", "sample_window", "tridiag_eigs",
     "u_eval", "u_zeros",
@@ -63,3 +66,51 @@ def test_benchmark_traced_names_exist():
     for name in functions:
         layer, function = name.split(".")
         assert function in _public_functions(importlib.import_module(f"llspec.{layer}")), name
+
+
+# the names through which Python code reads or writes the process environment
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def _sets_blas_threads(node, parents) -> bool:
+    """`os.environ[<BLAS thread name>]`, or `os.environ.keys()` met with `_BLAS_THREAD_VARIABLES`."""
+    parent = parents[node]
+    if isinstance(parent, ast.Subscript):
+        key = parent.slice
+        return isinstance(key, ast.Constant) and key.value in cli._BLAS_THREAD_VARIABLES
+    if isinstance(parent, ast.Attribute) and parent.attr == "keys":
+        meet = parents[parents[parent]]  # os.environ.keys() is a call inside it
+        return isinstance(meet, ast.BinOp) and isinstance(meet.op, ast.BitAnd) and any(
+            isinstance(side, ast.Name) and side.id == "_BLAS_THREAD_VARIABLES"
+            for side in (meet.left, meet.right))
+    return False
+
+
+def test_only_the_blas_thread_count_is_read_from_the_environment():
+    # no configuration knob: adding one means editing this test on purpose.
+    # `cli.run` alone touches the environment, for OpenBLAS's thread count
+    found, allowed = [], 0
+    for path in sorted((SRC / "llspec").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} if node.module == "os" else set()
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            if not names & _ENVIRONMENT:
+                continue
+            scope = node
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
+                scope = parents[scope]
+            if (path.name == "cli.py" and getattr(scope, "name", None) == "run"
+                    and _sets_blas_threads(node, parents)):
+                allowed += 1
+            else:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert allowed == 2  # the scan sees both uses in `cli.run`

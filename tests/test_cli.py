@@ -328,8 +328,7 @@ _REFUSED = {
     [(name, extra) for name, cases in _REFUSED.items() for extra in cases],
     ids=[f"{name}{'='.join(extra)}" for name, cases in _REFUSED.items() for extra in cases],
 )
-def test_refused_arguments_exit_two_with_one_error_line(tmp_path, capsys, monkeypatch, name, extra):
-    monkeypatch.delenv("LLSPEC_NMAX", raising=False)
+def test_refused_arguments_exit_two_with_one_error_line(tmp_path, capsys, name, extra):
     extra = [a.replace("{missing}", str(tmp_path / "missing" / "x")) for a in extra]
     # the later of two equal flags wins, so `extra` overrides the valid value
     code = run([*_COMMANDS[name], *extra])
@@ -635,23 +634,45 @@ def test_multiplicity_level_below_one_exits_two(capsys, level, check):
 
 
 def test_multiplicity_level_cap_binds_only_the_check(capsys, monkeypatch):
-    # the check builds the level matrix; the factorization alone builds none
-    monkeypatch.delenv("LLSPEC_NMAX", raising=False)
-    argv = ("multiplicity", "--level", "13", "--mu", "float:0.3", "--grid", "2")
+    # the check would build and diagonalise the level matrix, so the dense
+    # limit binds it, before anything is built; the factorization builds none
+    def built(n):
+        raise AssertionError("the level matrix was built")
+
+    monkeypatch.setattr(lamplighter, "build_level", built)
+    argv = ("multiplicity", "--level", "10", "--mu", "float:0.3", "--grid", "2")
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_OK and err == ""
     assert out.splitlines() == ["lam,multiplicity,is_root", "2,0,0"]
     code, out, err = _run(capsys, *argv, "--check")
     assert code == EXIT_DOMAIN and out == ""
-    assert err.splitlines() == ["error: level 13 exceeds the configured bound 12"]
+    assert err.splitlines() == [
+        "error: level 10 exceeds 9, the highest level the dense eigensolver finishes within 60 s"
+    ]
 
 
-def test_multiplicity_check_refuses_a_level_before_printing(capsys, monkeypatch):
-    monkeypatch.setenv("LLSPEC_NMAX", "3")
-    code, out, err = _run(capsys, "multiplicity", "--level", "4", "--mu", "float:0.3",
+def test_multiplicity_check_refuses_a_level_before_printing(capsys):
+    code, out, err = _run(capsys, "multiplicity", "--level", "14", "--mu", "float:0.3",
                           "--grid", "0", "--check")
     assert code == EXIT_DOMAIN and out == ""
-    assert err.splitlines() == ["error: level 4 exceeds the configured bound 3"]
+    assert err.splitlines() == [
+        "error: level 14 needs 30 * 4^14 bytes of dense matrices, over the budget of 2 GiB"
+    ]
+
+
+@pytest.mark.parametrize("level", ["10", "13"])
+def test_eigs_over_the_dense_limit_is_refused_before_the_level_matrix_is_built(
+        capsys, monkeypatch, level):
+    # the rotation solver takes over 146 s at level 10 on 2 cores
+    def built(n):
+        raise AssertionError("the level matrix was built")
+
+    monkeypatch.setattr(lamplighter, "build_level", built)
+    code, out, err = _run(capsys, "eigs", "--level", level, "--mu", "float:0.3", "--check")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.splitlines() == [
+        f"error: level {level} exceeds 9, the highest level the dense eigensolver finishes within 60 s"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -682,17 +703,8 @@ def test_convergence_failure_exits_four(capsys, monkeypatch):
     assert captured.err.splitlines() == ["error: rotation sweeps exhausted"]
 
 
-def test_level_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LLSPEC_NMAX", "2")
-    code, _, err = _run(capsys, "eigs", "--level", "3", "--mu", "float:0")
-    assert code == EXIT_DOMAIN and "exceeds" in err
-    monkeypatch.setenv("LLSPEC_NMAX", "3")
-    assert _run(capsys, "eigs", "--level", "3", "--mu", "float:0")[0] == EXIT_OK
-
-
-def test_level_over_the_memory_budget_exits_two(capsys, monkeypatch):
-    # LLSPEC_NMAX lifts the level cap, not the memory budget: level 16 would take 129 GB
-    monkeypatch.setenv("LLSPEC_NMAX", "16")
+def test_level_over_the_memory_budget_exits_two(capsys):
+    # the budget is checked before the dense limit: level 16 would take 129 GB
     code, out, err = _run(capsys, "eigs", "--level", "16", "--mu", "float:0.3")
     assert code == EXIT_DOMAIN and out == ""
     assert err.splitlines() == [
@@ -779,13 +791,16 @@ def test_grid_over_the_work_bound_is_refused_before_any_work(capsys, monkeypatch
     assert err.startswith("error: ") and f"exceed the bound of {cli._GRID_SECONDS_MAX} s" in err
 
 
-def test_grid_bound_admits_the_default_grid_at_the_level_cap(capsys, monkeypatch):
-    monkeypatch.delenv("LLSPEC_NMAX", raising=False)
-    for function in ("phi_det_signlog", "phi_factorized_signlog"):  # skip the 25 LUs
+def test_grid_bound_admits_the_default_grid_at_level_12(capsys, monkeypatch):
+    for function in ("phi_det_signlog", "phi_factorized_signlog"):  # skip the LUs
         monkeypatch.setattr(lamplighter, function, lambda n, lam, mu: (1.0, 0.0))
-    code, out, _ = _run(capsys, "char-poly", "--level", str(lamplighter.level_cap()),
-                        "--mu", "float:0.3")
+    code, out, _ = _run(capsys, "char-poly", "--level", "12", "--mu", "float:0.3")
     assert code == EXIT_OK and len(out.splitlines()) == 1 + 25
+    # level 13 is within the memory budget: one point (16.5 s) is admitted, 25 are not
+    code, out, _ = _run(capsys, "char-poly", "--level", "13", "--mu", "float:0.3", "--grid", "0.5")
+    assert code == EXIT_OK and len(out.splitlines()) == 1 + 1
+    code, out, err = _run(capsys, "char-poly", "--level", "13", "--mu", "float:0.3")
+    assert code == EXIT_DOMAIN and out == "" and "grid points" in err
 
 
 @pytest.mark.parametrize(

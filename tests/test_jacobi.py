@@ -268,6 +268,12 @@ def test_closed_forms_refuse_a_non_finite_mu(closed_form, mu):
         closed_form(mu)
 
 
+@pytest.mark.parametrize("x", _NON_FINITE)
+def test_density_refuses_a_non_finite_point(x):
+    with pytest.raises(DomainError, match="x must be finite"):
+        ac_density(x, 0.5)
+
+
 def test_spectrum_descriptions():
     s0 = pencil_spectrum(0.0)
     assert s0.band == (-4.0, 4.0) and s0.isolated is None and s0.mass_at_isolated == 0.0

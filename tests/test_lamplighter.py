@@ -19,7 +19,6 @@ from llspec.lamplighter import (
     PencilMatrix,
     build_level,
     dense_eigs,
-    level_cap,
     pencil_matrix,
     phi_det,
     phi_det_signlog,
@@ -261,21 +260,24 @@ def test_eigenvalue_multiset_matches_factorization(mu):
         assert int(np.sum(np.abs(eigs - pos) <= 1e-7)) == wt
 
 
-def test_capacity_honors_env(monkeypatch):
-    monkeypatch.setenv("LLSPEC_NMAX", "3")
-    assert level_cap() == 3
-    with pytest.raises(CapacityError):
-        build_level(4)
-    with pytest.raises(CapacityError):
-        phi_det(4, 0.0, 0.0)
-    monkeypatch.setenv("LLSPEC_NMAX", "not-a-number")
-    with pytest.raises(CapacityError):
-        level_cap()
+def test_dense_limit_refuses_a_level_the_rotation_solver_does_not_finish(monkeypatch):
+    # level 9 took 21-33 s on 2 cores, level 10 over 146 s; the budget comes first
+    def allocated(*args, **kwargs):
+        raise AssertionError("a level matrix was allocated")
+
+    monkeypatch.setattr(lamplighter.np, "ones", allocated)
+    lamplighter._check_dense_level(lamplighter._DENSE_LEVEL_MAX)
+    assert lamplighter._DENSE_LEVEL_MAX == 9
+    with pytest.raises(CapacityError, match="^level 10 exceeds 9, the highest level the dense"):
+        lamplighter._check_dense_level(10)
+    with pytest.raises(CapacityError, match="budget"):
+        lamplighter._check_dense_level(14)
+    with pytest.raises(DomainError):
+        lamplighter._check_dense_level(-1)
 
 
 def test_level_over_the_memory_budget_is_refused_before_allocating(monkeypatch):
     # 30 * 4^n bytes: level 13 (2.01 GB) fits the 2 GiB (2.15 GB) budget, level 14 (8.1 GB) does not
-    monkeypatch.setenv("LLSPEC_NMAX", str(10**9))
     lamplighter._check_level(13)
 
     def allocated(*args, **kwargs):
@@ -319,8 +321,7 @@ def test_level_budget_covers_the_measured_peak():
     assert (peak_kib - base_kib) * 1024 <= lamplighter._LEVEL_BYTES_PER_ENTRY * 4**11
 
 
-def test_factorized_large_level_does_not_overflow(monkeypatch):
-    monkeypatch.setenv("LLSPEC_NMAX", "40")
+def test_factorized_large_level_does_not_overflow():
     # exponents reach 2^(n-2); only the log form survives at n = 20
     sign, logabs = phi_factorized_signlog(20, 0.35, 0.72)
     assert sign in (-1.0, 1.0)
@@ -368,6 +369,7 @@ def test_pencil_is_assembled_once_per_level_and_parameter(monkeypatch):
 
 def test_capacity_is_checked_before_the_pencil_cache(monkeypatch):
     phi_det_signlog(4, 0.5, 0.3)
-    monkeypatch.setenv("LLSPEC_NMAX", "3")
+    # a budget that admits level 3 and refuses the cached level 4
+    monkeypatch.setattr(lamplighter, "_LEVEL_BYTES_MAX", lamplighter._LEVEL_BYTES_PER_ENTRY * 4**3)
     with pytest.raises(CapacityError):
         phi_det_signlog(4, 0.5, 0.3)

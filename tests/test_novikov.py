@@ -41,6 +41,16 @@ def test_non_finite_mu_is_refused(mu):
         ns_invariant(mu)
 
 
+@pytest.mark.parametrize("mu", [10**400, Fraction(-10**400, 7)], ids=["1e400", "-1e400/7"])
+def test_mu_past_the_double_range_is_refused_before_any_float(mu):
+    # |mu| is compared with 1e150 exactly; float(mu) would raise OverflowError
+    message = r"requires \|mu\| <= 1e\+150, got \|mu\| over 1e\+308"
+    with pytest.raises(DomainError, match=message):
+        gap_sequence(mu, 40)
+    with pytest.raises(DomainError, match=message):
+        ns_invariant(mu)
+
+
 def test_negative_mu_mirrors_through_the_level_polynomials():
     # the mirrored x_m are the smallest zeros of G_m at mu itself, found by
     # the tridiagonal eigensolver with no mirror involved
