@@ -32,8 +32,8 @@ _SUBMODULE_OF = {
             "pencil_spectrum", "tridiag_eigs",
         ),
         "lamplighter": (
-            "LevelRep", "PencilMatrix", "build_level", "dense_eigs", "pencil_matrix",
-            "phi_det", "phi_factorized",
+            "LevelRep", "build_level", "dense_eigs", "pencil_matrix", "phi_det",
+            "phi_factorized",
         ),
         "measure": (
             "Atom", "AtomicMeasure", "B1Mu", "B2Mu", "FloatMu", "MuParam", "RationalMu",
@@ -41,8 +41,8 @@ _SUBMODULE_OF = {
             "mu_value", "parse_mu",
         ),
         "anderson": (
-            "DisorderWindow", "EmpiricalIDS", "JacobiSample", "block_decompose",
-            "build_jacobi_sample", "compare_ids", "empirical_ids", "line_ids", "sample_window",
+            "EmpiricalIDS", "JacobiSample", "block_decompose", "build_jacobi_sample",
+            "compare_ids", "empirical_ids", "line_ids", "sample_window",
         ),
         "novikov": ("GapSequence", "NsInvariant", "decay_rate", "gap_sequence", "ns_invariant"),
     }.items()

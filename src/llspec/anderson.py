@@ -15,6 +15,7 @@ is compared against.
 Bits are drawn from a counter-based generator (Philox) keyed by the seed and
 indexed by the absolute site position, so windows are reproducible and
 disjoint windows are independent regardless of how the line is sharded.
+A window is a plain uint8 array of its sites' bits.
 `line_ids` walks a long line one window at a time and keeps only a count of
 each distinct block, so its memory is bounded by the window, not the line.
 """
@@ -42,21 +43,11 @@ _CHECKPOINTS = 50
 
 
 @dataclass(frozen=True)
-class DisorderWindow:
-    """A finite window of site bits with absolute indexing."""
-
-    bits: np.ndarray
-    offset: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class JacobiSample:
     """The operator restricted to one window: diagonal and bond weights."""
 
     diag: np.ndarray
     offdiag: np.ndarray
-    window: DisorderWindow
     mu: float
 
 
@@ -70,7 +61,6 @@ class EmpiricalIDS:
 
     values: np.ndarray
     counts: np.ndarray  # int64, all positive
-    mu: float
 
     @property
     def site_count(self) -> int:
@@ -96,8 +86,8 @@ class ComparisonReport:
     theoretical_mid: tuple[float, ...]
 
 
-def sample_window(seed: int, offset: int, length: int) -> DisorderWindow:
-    """Bits for absolute sites offset .. offset+length-1, keyed by seed.
+def sample_window(seed: int, offset: int, length: int) -> np.ndarray:
+    """The uint8 bits of absolute sites offset .. offset+length-1, keyed by seed.
 
     Bit i is the parity of the i-th native draw of Philox(seed), located by
     counter arithmetic, so the value at a given absolute index never depends
@@ -111,23 +101,21 @@ def sample_window(seed: int, offset: int, length: int) -> DisorderWindow:
     gen = Philox(key=seed)
     gen.advance(first_block % _PHILOX_PERIOD_BLOCKS)
     raw = gen.random_raw(head + length)
-    return DisorderWindow(
-        bits=(raw[head:] & np.uint64(1)).astype(np.uint8), offset=offset, seed=seed
-    )
+    return (raw[head:] & np.uint64(1)).astype(np.uint8)
 
 
-def build_jacobi_sample(window: DisorderWindow, mu: float) -> JacobiSample:
-    """Assemble diagonal and bond weights from the window bits.
+def build_jacobi_sample(bits: np.ndarray, mu: float) -> JacobiSample:
+    """Assemble diagonal and bond weights from a window's site bits.
 
+    `bits` is an array of 0s and 1s, one per site, as `sample_window` returns.
     Bond (n, n+1) is indexed by its left endpoint n and carries
     1 + (-1)^(bit_n); the diagonal at n is mu * (-1)^(bit_n + 1).
     """
-    if len(window.bits) < 2:
+    if len(bits) < 2:
         raise DomainError("need at least two sites")
-    bits = window.bits
     diag = float(mu) * np.where(bits == 1, 1.0, -1.0)
     offdiag = np.where(bits[:-1] == 0, 2.0, 0.0)
-    return JacobiSample(diag=diag, offdiag=offdiag, window=window, mu=float(mu))
+    return JacobiSample(diag=diag, offdiag=offdiag, mu=float(mu))
 
 
 def _block_bounds(sample: JacobiSample) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +184,7 @@ class _BlockCounts:
         order = np.lexsort((patterns, values))
         values, patterns, counts = values[order], patterns[order], counts[order]
         runs = np.flatnonzero(np.concatenate(([True], patterns[1:] != patterns[:-1])))
-        return EmpiricalIDS(values=values[runs], counts=np.add.reduceat(counts, runs), mu=self.mu)
+        return EmpiricalIDS(values=values[runs], counts=np.add.reduceat(counts, runs))
 
 
 def empirical_ids(samples: list[JacobiSample]) -> EmpiricalIDS:
@@ -213,8 +201,8 @@ def empirical_ids(samples: list[JacobiSample]) -> EmpiricalIDS:
     return counts.pool()
 
 
-def _walk_line(windows: Iterable[DisorderWindow], mu: float) -> EmpiricalIDS:
-    """Pool the interior blocks of one line given as consecutive windows.
+def _walk_line(windows: Iterable[np.ndarray], mu: float) -> EmpiricalIDS:
+    """Pool the interior blocks of one line given as the bits of consecutive windows.
 
     The open block at the end of each window is carried into the next one,
     so the result is the same as for a single window over the whole line:
@@ -224,9 +212,8 @@ def _walk_line(windows: Iterable[DisorderWindow], mu: float) -> EmpiricalIDS:
     carry = np.empty(0, dtype=np.uint8)
     first = 1  # until the line's first block has been closed
     for window in windows:
-        bits = np.concatenate((carry, window.bits))
-        chunk = DisorderWindow(bits=bits, offset=window.offset - len(carry), seed=window.seed)
-        last = counts.add(build_jacobi_sample(chunk, mu), first)
+        bits = np.concatenate((carry, window))
+        last = counts.add(build_jacobi_sample(bits, mu), first)
         if last > 0:  # the chunk closed a block, so the line's first is behind us
             first = 0
         carry = bits[last:]

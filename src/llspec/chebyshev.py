@@ -25,12 +25,16 @@ from .errors import DomainError
 # growth ~ (|x| + sqrt(x^2-1))^n never overflows even for n in the thousands.
 _BIG = 2.0 ** 512
 _BIG_INV = 2.0 ** -512
+# largest |x| taken: a rescaled |c| reaches 2^512, so 2x c is finite only below 2^511
+_X_MAX = 2.0 ** 510
 
 
 def u_pair_scaled(n: int, x: float) -> tuple[float, float, int]:
-    """Return (p, c, e) with U_{n-1}(x) = p * 2^e and U_n(x) = c * 2^e."""
+    """Return (p, c, e) with U_{n-1}(x) = p * 2^e and U_n(x) = c * 2^e; |x| <= 2^510."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
+    if not abs(x) <= _X_MAX:
+        raise DomainError(f"recurrence argument {x!r} is not finite or exceeds 2^510 in size")
     prev, cur, e = 0.0, 1.0, 0
     for _ in range(n):
         prev, cur = cur, 2.0 * x * cur - prev

@@ -242,14 +242,11 @@ def _cmd_zeros(args) -> _Result:
     for k in range(1, depth + 1):
         zs = ghpolys.g_zeros(k, mu)
         for j, z in enumerate(zs):
-            value, scale = ghpolys.g_value_with_scale(k, float(z), mu)
+            value, relative = ghpolys.g_residual(k, float(z), mu)
             bound = args.tol * (k + 1) * max(1.0, abs(mu))
             in_band = -4.0 - mu <= z <= 4.0 - mu
-            if in_band:
-                ok = ok and abs(value) <= bound
-            else:
-                ok = ok and abs(value) <= bound * max(1.0, scale)
-            rows.append((k, j, float(z), value, abs(value) / max(1.0, scale)))
+            ok = ok and (abs(value) if in_band else relative) <= bound
+            rows.append((k, j, float(z), value, relative))
     header = ("k", "index", "zero", "residual", "residual_relative")
     payload = {"mu": args.mu, "depth": depth, "rows": [dict(zip(header, r)) for r in rows]}
     return _Result(header, _csv_rows(rows), payload, args.check and not ok)

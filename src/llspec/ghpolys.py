@@ -43,7 +43,7 @@ def _g_terms(k: int, lam: float, mu: float) -> tuple[float, float, int]:
     """(u, v, e) with U_k(s) = u 2^e and mu U_{k-1}(s) = v 2^e, s = (-lam - mu) / 4.
 
     G_k / 2^k = (u + v) 2^e: the one scaled-recurrence evaluation behind
-    g_value, g_value_with_scale and g_signlog.
+    g_value, g_residual and g_signlog.
     """
     if k < 1:
         raise DomainError("index k must be >= 1")
@@ -60,15 +60,17 @@ def g_value(k: int, lam: float, mu: float) -> float:
     return _ldexp_safe(u + v, e)
 
 
-def g_value_with_scale(k: int, lam: float, mu: float) -> tuple[float, float]:
-    """(G_k / 2^k, evaluation scale |U_k(s)| + |mu U_{k-1}(s)|).
+def g_residual(k: int, lam: float, mu: float) -> tuple[float, float]:
+    """(G_k / 2^k, |G_k / 2^k| / max(1, |U_k(s)| + |mu U_{k-1}(s)|)).
 
-    The scale is the natural conditioning reference for residual checks: at
-    out-of-band points both Chebyshev terms grow like (|s| + sqrt(s^2-1))^k,
-    so only |value| / scale is meaningful there.
+    The sum of the term sizes is the natural conditioning reference for
+    residual checks: at out-of-band points both Chebyshev terms grow like
+    (|s| + sqrt(s^2-1))^k, so only the relative residual is meaningful there.
+    It is formed from the scaled terms, so it stays finite where G_k / 2^k
+    overflows a double.
     """
     u, v, e = _g_terms(k, lam, mu)
-    return _ldexp_safe(u + v, e), _ldexp_safe(abs(u) + abs(v), e)
+    return _ldexp_safe(u + v, e), abs(u + v) / max(math.ldexp(1.0, -e), abs(u) + abs(v))
 
 
 def g_signlog(k: int, lam: float, mu: float) -> tuple[float, float]:

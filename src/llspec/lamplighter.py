@@ -17,7 +17,8 @@ characteristic determinant
 factors through the level polynomials.  Both routes are implemented: an LU
 determinant of the assembled matrix and the factored product in
 (sign, log-magnitude) form, plus a dense rotation eigensolver as the oracle
-for eigenvalue multiplicities.
+for eigenvalue multiplicities.  The matrices are plain numpy arrays: a, b, c
+as uint8 permutation matrices in a `LevelRep`, M_n(mu) as a float64 array.
 """
 
 from __future__ import annotations
@@ -57,19 +58,9 @@ def _check_level(n: int):
 class LevelRep:
     """Permutation matrices of a, b, c acting on level n of the binary tree."""
 
-    level: int
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-
-
-@dataclass(frozen=True)
-class PencilMatrix:
-    """The symmetric 2^n x 2^n matrix a + a^T + b + b^T - mu c."""
-
-    level: int
-    mu: float
-    entries: np.ndarray
 
 
 def build_level(n: int) -> LevelRep:
@@ -85,10 +76,11 @@ def build_level(n: int) -> LevelRep:
             np.block([[a, zero], [zero, b]]),
             np.block([[zero, eye], [eye, zero]]),
         )
-    return LevelRep(level=n, a=a, b=b, c=c)
+    return LevelRep(a=a, b=b, c=c)
 
 
-def pencil_matrix(rep: LevelRep, mu: float) -> PencilMatrix:
+def pencil_matrix(rep: LevelRep, mu: float) -> np.ndarray:
+    """The symmetric float64 matrix a + a^T + b + b^T - mu c of the level."""
     # summed in place, in the order of a + a.T + b + b.T - mu * c, so at level
     # 12 two float copies (134 MB each) are live at once instead of five
     m = rep.a.astype(float)
@@ -96,13 +88,13 @@ def pencil_matrix(rep: LevelRep, mu: float) -> PencilMatrix:
     m += rep.b
     m += rep.b.T
     m -= mu * rep.c
-    return PencilMatrix(level=rep.level, mu=float(mu), entries=m)
+    return m
 
 
 @functools.lru_cache(maxsize=1)
 def _pencil_entries(n: int, mu: float) -> np.ndarray:
     """M_n(mu) as a read-only array, kept for the next call with the same (n, mu)."""
-    m = pencil_matrix(build_level(n), mu).entries
+    m = pencil_matrix(build_level(n), mu)
     m.flags.writeable = False
     return m
 
@@ -182,8 +174,8 @@ def _check_dense_level(n: int):
                             f"the dense eigensolver finishes within 60 s")
 
 
-def dense_eigs(m: PencilMatrix) -> np.ndarray:
-    """All eigenvalues of the pencil matrix by cyclic Jacobi rotations.
+def dense_eigs(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a square, exactly symmetric, finite matrix by cyclic Jacobi rotations.
 
     At most _SWEEP_LIMIT sweeps run, until the off-diagonal Frobenius norm
     drops below _TOL_FACTOR * ||M||_F.  Rotations are plain plane rotations on
@@ -192,7 +184,7 @@ def dense_eigs(m: PencilMatrix) -> np.ndarray:
     stays so, which lets a rotation update rows p and q once and copy them
     into columns.
     """
-    a = np.array(m.entries, dtype=float)
+    a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
         raise DomainError("dense eigensolver expects a symmetric matrix")
     n = a.shape[0]

@@ -144,8 +144,10 @@ def mu_value(mu: MuParam) -> float:
         rational = _b1_rational(mu)
         if rational is not None:
             return rational
+        # the value has period q in n, so evaluate at the witness index n0 in 1 .. q-1
+        n0 = (mu.n - 1) % mu.q + 1
         t = mu.p * math.pi / mu.q
-        return -math.sin((mu.n + 1) * t) / math.sin(mu.n * t)
+        return -math.sin((n0 + 1) * t) / math.sin(n0 * t)
     if isinstance(mu, B2Mu):
         d = math.gcd(mu.j, mu.k + 1)
         jr, mr = mu.j // d, (mu.k + 1) // d

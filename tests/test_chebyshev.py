@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llspec.chebyshev import u_eval, u_zeros
+from llspec.chebyshev import u_eval, u_pair_scaled, u_zeros
+from llspec.errors import DomainError
 
 
 def test_low_degree_values():
@@ -101,3 +102,15 @@ def test_zero_interlacing(n):
     for lo, hi in zip(outer, outer[1:]):
         inside = [z for z in inner if lo < z < hi]
         assert len(inside) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40, 1000])
+def test_scaled_recurrence_stays_finite_up_to_its_argument_bound(n):
+    # after a rescale |c| reaches 2^512, so 2x c is finite only for |x| < 2^511
+    for x in (2.0**510, -(2.0**510)):
+        p, c, e = u_pair_scaled(n, x)
+        assert math.isfinite(p) and math.isfinite(c)
+        assert not math.isnan(u_eval(n, x))
+    for x in (math.nextafter(2.0**510, math.inf), -(2.0**511), 1e300, math.inf, math.nan):
+        with pytest.raises(DomainError, match="exceeds 2\\^510"):
+            u_pair_scaled(n, x)

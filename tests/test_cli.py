@@ -14,6 +14,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import llspec
 from llspec import anderson, cli, ghpolys, lamplighter, measure, novikov
@@ -613,13 +615,61 @@ def test_dos_seed_is_a_philox_key(capsys, seed, code):
         assert out == "" and err.splitlines() == [f"error: seed must be in [0, 2**128), got {seed}"]
 
 
-def test_char_poly_check_fails_on_a_non_finite_error(capsys):
-    # at 1e300 both determinants overflow, and their relative error is NaN
-    argv = ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid", "1e300", "--check")
+def test_char_poly_check_fails_on_a_non_finite_error(capsys, monkeypatch):
+    # no real input makes a NaN since the recurrence refuses |(-lam - mu) / 4|
+    # over 2^510, so a factored side that returns one stands in for a fault
+    monkeypatch.setattr(lamplighter, "phi_factorized_signlog", lambda n, lam, mu: (1.0, math.nan))
+    argv = ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid", "0.5", "--check")
     code, out, _ = _run(capsys, *argv)
-    assert code == EXIT_CHECK and out.splitlines()[1].endswith(",inf,inf,nan")
+    assert code == EXIT_CHECK and out.splitlines()[1].endswith(",nan,nan")
     code, out, _ = _run(capsys, *argv, "--format", "json")
     assert code == EXIT_CHECK and math.isnan(json.loads(out)["max_rel_err"])
+
+
+# values log-uniform in magnitude up to 1e300, either sign, and the edges of
+# the scaled recurrence's argument range
+_RECURRENCE_VALUES = st.one_of(
+    st.sampled_from([0.0, 2.0**510, -(2.0**510), 2.0**511, -(2.0**511)]),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)),
+)
+_RECURRENCE_COMMANDS = st.one_of(
+    st.builds(lambda mu, depth, check: ("zeros", f"--mu=float:{mu!r}", "--depth", str(depth),
+                                        *check),
+              _RECURRENCE_VALUES, st.integers(1, 8), st.sampled_from([(), ("--check",)])),
+    st.builds(lambda mu, lam, level, fmt: ("char-poly", "--level", str(level),
+                                           f"--mu=float:{mu!r}", f"--grid={lam!r}", "--check",
+                                           "--format", fmt),
+              _RECURRENCE_VALUES, _RECURRENCE_VALUES, st.integers(1, 3),
+              st.sampled_from(["csv", "json"])),
+)
+
+
+@given(argv=_RECURRENCE_COMMANDS)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_recurrence_commands_print_no_nan(capsys, argv):
+    # the scaled Chebyshev recurrence either answers with finite residuals or refuses
+    code, out, err = _run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CHECK)
+    if code == EXIT_DOMAIN:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", "--mu", "float:1e300", "--depth", "2"),
+        ("zeros", "--mu", "float:1e300", "--depth", "2", "--check"),
+        ("char-poly", "--level", "2", "--mu", "float:0.3", "--grid", "1e300", "--check"),
+    ],
+)
+def test_recurrence_argument_over_the_scaled_range_exits_two(capsys, argv):
+    # the scaled recurrence used to overflow here and print inf,nan rows
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: recurrence argument")
 
 
 @pytest.mark.parametrize("level", ["-1", "0", "-100000"])

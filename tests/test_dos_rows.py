@@ -21,7 +21,7 @@ def _reference(values, counts):
 
 
 def _ids(values, counts):
-    return EmpiricalIDS(np.array(values, float), np.array(counts, np.int64), mu=0.0)
+    return EmpiricalIDS(np.array(values, float), np.array(counts, np.int64))
 
 
 def _assert_weights_match(weights):

@@ -9,9 +9,10 @@ from llspec.chebyshev import u_eval
 from llspec.errors import DomainError
 from llspec.ghpolys import (
     angular_form,
+    g_residual,
+    g_signlog,
     g_value,
     g_value_recursive,
-    g_value_with_scale,
     g_zeros,
 )
 from llspec.jacobi import critical_index, jstar_truncation, tridiag_eigs
@@ -127,13 +128,13 @@ def test_zero_residuals_and_simplicity(k, mu):
     assert np.all(np.diff(zs) > 1e-9)
     bound = 1e-8 * (k + 1) * max(1.0, abs(mu))
     for z in zs:
-        value, scale = g_value_with_scale(k, float(z), mu)
+        value, relative = g_residual(k, float(z), mu)
         if -4.0 - mu <= z <= 4.0 - mu:
             assert abs(value) <= bound
         else:
             # off the band the evaluation itself is exponentially
             # ill-conditioned; the meaningful residual is relative
-            assert abs(value) <= bound * max(1.0, scale)
+            assert relative <= bound
 
 
 def test_zero_translation_consistency():
@@ -174,3 +175,26 @@ def test_interlacing_after_outlier_removal(mu):
             outer = outer[:-1]
         for lo, hi in zip(outer, outer[1:]):
             assert np.sum((inner > lo) & (inner < hi)) == 1
+
+
+def test_recurrence_refuses_an_argument_over_the_scaled_range():
+    # (-lam - mu) / 4 = -2^511 used to give (1.0, inf) for ln|G_2|
+    with pytest.raises(DomainError, match="exceeds 2\\^510"):
+        g_signlog(2, 0.0, 4 * 2.0**511)
+    # G_2(0, mu) = -mu^2 - 4 at mu = 2^512
+    sign, logabs = g_signlog(2, 0.0, 4 * 2.0**510)
+    assert sign == -1.0 and logabs == pytest.approx(1024 * math.log(2.0))
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_relative_residual_is_finite_where_the_value_overflows(k):
+    # G_k / 2^k overflows a double, its relative residual does not
+    # at s = 2^500 the two terms are (2s)^k and -2 (2s)^k
+    value, relative = g_residual(k, 0.0, -(2.0**502))
+    assert math.isinf(value) and relative == 1.0 / 3.0
+    # where nothing overflows it is |G_k / 2^k| / max(1, |U_k(s)| + |mu U_(k-1)(s)|)
+    for lam, mu in ((0.5, 1.5), (0.5, -9.5)):
+        s = (-lam - mu) / 4.0
+        scale = abs(u_eval(k, s)) + abs(mu * u_eval(k - 1, s))
+        value = g_value(k, lam, mu)
+        assert g_residual(k, lam, mu) == (value, abs(value) / max(1.0, scale))

@@ -65,13 +65,26 @@ _HUGE = 10 ** 400  # beyond the largest double, about 1.8e308
         lambda: RationalMu(_HUGE, 1),
         lambda: RationalMu(-_HUGE, 3),
         lambda: B1Mu(1, _HUGE, 1),
-        lambda: B1Mu(4, 5, _HUGE + 1),
+        lambda: B1Mu(1, _HUGE, _HUGE + 1),
         lambda: B2Mu(1, _HUGE),
     ],
 )
 def test_parameters_without_a_float_value_rejected(make):
     with pytest.raises(DomainError, match="does not fit in a float"):
         make()
+
+
+@pytest.mark.parametrize("p, q, n0", [(1, 5, 3), (4, 5, 1), (2, 7, 5), (1, 2, 1), (3, 8, 6)])
+def test_b1_value_has_period_q_in_the_index(p, q, n0):
+    # sin((n+1) t) / sin(n t) with t = p pi/q is unchanged by n -> n + q, so
+    # every index of one residue class gives the bits of the witness index
+    value = mu_value(B1Mu(p, q, n0))
+    for n in (n0 + q, n0 + 10 * q, n0 + 200000 * q, n0 + 10 ** 15 * q, n0 + _HUGE * q):
+        assert classify_mu(B1Mu(p, q, n)).b1_witness == (p, q, n0)
+        assert mu_value(B1Mu(p, q, n)) == value
+    assert mu_value(B1Mu(1, 5, 10 ** 15 + 3)) == mu_value(B1Mu(1, 5, 3))
+    # a huge index has a float value once reduced: -2 cos(4 pi/5)
+    assert mu_value(B1Mu(4, 5, _HUGE + 1)) == mu_value(B1Mu(4, 5, 1))
 
 
 def test_huge_exact_parts_with_a_float_value_accepted():
