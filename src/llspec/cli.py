@@ -243,9 +243,10 @@ def _cmd_zeros(args) -> _Result:
         zs = ghpolys.g_zeros(k, mu)
         for j, z in enumerate(zs):
             value, relative = ghpolys.g_residual(k, float(z), mu)
-            bound = args.tol * (k + 1) * max(1.0, abs(mu))
+            bound = args.tol * (k + 1)
             in_band = -4.0 - mu <= z <= 4.0 - mu
-            ok = ok and (abs(value) if in_band else relative) <= bound
+            # the relative residual is dimensionless, so |mu| scales only the in-band one
+            ok = ok and (abs(value) <= bound * max(1.0, abs(mu)) if in_band else relative <= bound)
             rows.append((k, j, float(z), value, relative))
     header = ("k", "index", "zero", "residual", "residual_relative")
     payload = {"mu": args.mu, "depth": depth, "rows": [dict(zip(header, r)) for r in rows]}

@@ -161,8 +161,8 @@ def phi_factorized(n: int, lam: float, mu: float) -> float:
 
 
 # highest level whose matrix `dense_eigs` diagonalises within the 60 s of
-# `cli._GRID_SECONDS_MAX`: on 2 cores level 9 took 21-33 s at mu = 0.3, 7/6,
-# 3, -1.5 and 100, and level 10 over 146 s
+# `cli._GRID_SECONDS_MAX`: on 2 cores level 9 took 20-28 s at mu = 0.3, 7/6,
+# 3, -1.5 and 100, and level 10 took 148 s at mu = 0.3
 _DENSE_LEVEL_MAX = 9
 
 
@@ -181,8 +181,14 @@ def dense_eigs(m: np.ndarray) -> np.ndarray:
     drops below _TOL_FACTOR * ||M||_F.  Rotations are plain plane rotations on
     a private copy; no deflation heuristics are needed even though eigenvalue
     clusters carry multiplicities of order 2^(n-2).  Exactly symmetric input
-    stays so, which lets a rotation update rows p and q once and copy them
-    into columns.
+    stays so, which lets a rotation update rows p and q in place, with the
+    bits of a column update followed by a row update, and copy row q into
+    column q.  Row p goes into column p once, after the last rotation of its
+    p-loop: inside the loop column p is read only as entry p of row q, which
+    the rotation overwrites with the 2x2 block's value, so the bits are those
+    of copying both columns at every rotation.  A p-loop that rotates nothing
+    copies nothing, so each p-loop ends on the matrix those copies leave,
+    signed zeros included.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
@@ -203,31 +209,44 @@ def dense_eigs(m: np.ndarray) -> np.ndarray:
     def offnorm():
         return math.sqrt(max((a * a).sum() - (np.diag(a) ** 2).sum(), 0.0))
 
+    rows, cols = list(a), list(a.T)
+    # cos * row p, sin * row q, sin * row p, cos * row q of the current rotation
+    cp, sq, sp, cq = np.empty((4, n))
+    item, multiply, subtract, add = a.item, np.multiply, np.subtract, np.add
+    copysign, hypot = math.copysign, math.hypot
     for _ in range(_SWEEP_LIMIT):
         if offnorm() <= thresh:
             return np.sort(np.diag(a))
         rotated = False
         for p in range(n - 1):
+            row_p = rows[p]
+            p_rotated = False
             for q in range(p + 1, n):
-                apq = a.item(p, q)
+                apq = item(p, q)
                 if abs(apq) <= skip:
                     continue
-                rotated = True
-                app, aqq = a.item(p, p), a.item(q, q)
+                p_rotated = True
+                app, aqq = item(p, p), item(q, q)
                 tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cos = 1.0 / math.hypot(1.0, t)
+                t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))
+                cos = 1.0 / hypot(1.0, t)
                 sin = t * cos
-                row_p, row_q = a[p], a[q]
-                new_p = cos * row_p - sin * row_q
-                new_q = sin * row_p + cos * row_q
+                row_q = rows[q]
+                multiply(cos, row_p, out=cp)
+                multiply(sin, row_q, out=sq)
+                multiply(sin, row_p, out=sp)
+                multiply(cos, row_q, out=cq)
+                subtract(cp, sq, out=row_p)
+                add(sp, cq, out=row_q)
                 # the 2x2 block as a column update followed by a row update
                 cpp, cqp = cos * app - sin * apq, cos * apq - sin * aqq
                 cpq, cqq = sin * app + cos * apq, sin * apq + cos * aqq
-                new_p[p], new_p[q] = cos * cpp - sin * cqp, 0.0
-                new_q[p], new_q[q] = 0.0, sin * cpq + cos * cqq
-                a[p], a[q] = new_p, new_q
-                a[:, p], a[:, q] = new_p, new_q
+                row_p[p], row_p[q] = cos * cpp - sin * cqp, 0.0
+                row_q[p], row_q[q] = 0.0, sin * cpq + cos * cqq
+                cols[q][:] = row_q
+            if p_rotated:
+                cols[p][:] = row_p
+                rotated = True
         if not rotated:
             break  # an idle sweep changed nothing, so no later sweep would
     residual = offnorm()

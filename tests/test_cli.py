@@ -84,6 +84,22 @@ def test_zeros_check(capsys):
     assert code == EXIT_OK
 
 
+def test_zeros_check_holds_the_relative_residual_to_tol_at_any_mu(capsys):
+    # residual_relative is dimensionless; with a bound scaled by |mu| it passed
+    # 1 (no digit of the zero verified) from |mu| about 3e7
+    code, out, _ = _run(capsys, "zeros", "--mu", "float:9.836204932433567e+146", "--depth", "3",
+                        "--check")
+    assert code == EXIT_CHECK
+    relative = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert relative == ["0", "1", "0", "1", "1", "0"]
+
+
+@pytest.mark.parametrize("mu", ["float:2", "rat:7/6", "float:1e4", "float:-3"])
+def test_zeros_check_passes_out_of_band_zeros_at_depth_40(capsys, mu):
+    # their worst residual_relative / (k + 1) is about 5e-17, against a bound of 1e-8
+    assert _run(capsys, "zeros", "--mu", mu, "--depth", "40", "--check")[0] == EXIT_OK
+
+
 def test_spectrum_payload(capsys):
     code, out, _ = _run(capsys, "spectrum", "--mu", "rat:2/1", "--format", "json")
     assert code == EXIT_OK
@@ -657,6 +673,77 @@ def test_recurrence_commands_print_no_nan(capsys, argv):
     assert "nan" not in out.lower()
 
 
+_SIGNS = st.sampled_from([1, -1])
+# the exceptional values 0 and +-1, mu = +-(1 + 1/k), small rationals and
+# doubles log-uniform up to 1e300, each as rat: or as float:
+_LEVEL_MUS = st.one_of(
+    st.sampled_from(["rat:0/1", "float:0", "float:-0.0", "rat:1/1", "rat:-1/1", "float:1",
+                     "float:-1"]),
+    st.builds(lambda sign, k: f"rat:{sign * (k + 1)}/{k}", _SIGNS, st.integers(1, 60)),
+    st.builds(lambda sign, k: f"float:{sign * (1 + 1 / k)!r}", _SIGNS, st.integers(1, 60)),
+    st.builds(lambda p, q: f"rat:{p}/{q}", st.integers(-50, 50), st.integers(1, 20)),
+    st.builds(lambda sign, e: f"float:{sign * 10.0**e!r}", _SIGNS, st.floats(-300.0, 300.0)),
+)
+_BAD_MUS = st.sampled_from(["float:nan", "float:inf", "float:-inf", "rat:1/0", "rat:x/2",
+                            "bogus:1", "float:"])
+_FORMATS = st.sampled_from([(), ("--format", "json")])
+_CHECKS = st.sampled_from([(), ("--check",)])
+
+
+def _eigs_argv(level, mu, fmt, check):
+    return ("eigs", "--level", str(level), f"--mu={mu}", *fmt, *check)
+
+
+def _multiplicity_argv(level, mu, grid, fmt, check):
+    return ("multiplicity", "--level", str(level), f"--mu={mu}", f"--grid={grid}", *fmt, *check)
+
+
+_GRIDS = st.sampled_from(["0", "2,0,-1", "-6:6:5", "3.7"])
+_LEVEL_COMMANDS = st.one_of(
+    st.builds(lambda *args: (True, _eigs_argv(*args)), st.integers(0, 5), _LEVEL_MUS, _FORMATS,
+              _CHECKS),
+    st.builds(lambda *args: (True, _multiplicity_argv(*args)), st.integers(1, 5), _LEVEL_MUS,
+              _GRIDS, _FORMATS, _CHECKS),
+    st.builds(lambda *args: (False, _eigs_argv(*args)), st.integers(0, 5), _BAD_MUS, _FORMATS,
+              _CHECKS),
+    st.builds(lambda *args: (False, _eigs_argv(*args)), st.integers(-3, -1), _LEVEL_MUS,
+              _FORMATS, _CHECKS),
+    st.builds(lambda *args: (False, _multiplicity_argv(*args)), st.integers(-2, 0), _LEVEL_MUS,
+              _GRIDS, _FORMATS, _CHECKS),
+    st.builds(lambda *args: (False, _multiplicity_argv(*args)), st.integers(1, 5), _BAD_MUS,
+              _GRIDS, _FORMATS, _CHECKS),
+)
+
+
+@given(case=_LEVEL_COMMANDS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_level_commands_end_in_a_documented_exit(capsys, case):
+    valid, argv = case
+
+    def outcome():
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    code, out, err = outcome()
+    assert outcome() == (code, out, err)
+    assert "Traceback" not in err
+    if code in (EXIT_DOMAIN, EXIT_CONVERGENCE):
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert code in (EXIT_OK, EXIT_CHECK) and err == ""
+    if not valid:
+        assert code == EXIT_DOMAIN
+    elif code == EXIT_DOMAIN:
+        # the one refusal of a well-formed level and parameter: a level matrix
+        # whose Frobenius norm overflows, which needs |mu| over 1e150
+        assert err == "error: dense eigensolver expects finite entries with a finite norm\n"
+        assert abs(measure.mu_value(measure.parse_mu(argv[3][5:]))) > 1e150
+    if code == EXIT_CONVERGENCE:
+        assert err.startswith("error: rotation sweeps exhausted with off-diagonal residual ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -713,7 +800,7 @@ def test_multiplicity_check_refuses_a_level_before_printing(capsys):
 @pytest.mark.parametrize("level", ["10", "13"])
 def test_eigs_over_the_dense_limit_is_refused_before_the_level_matrix_is_built(
         capsys, monkeypatch, level):
-    # the rotation solver takes over 146 s at level 10 on 2 cores
+    # the rotation solver took 148 s at level 10 on 2 cores
     def built(n):
         raise AssertionError("the level matrix was built")
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llspec import lamplighter
 from llspec.errors import CapacityError, ConvergenceError, DomainError
@@ -233,6 +235,118 @@ def test_dense_eigs_bits_are_pinned(n):
     assert digest.hexdigest() == _DENSE_EIGS_DIGESTS[n]
 
 
+# level 8 and three more failures, taken from the kernel that built new rows
+# and copied them into both rows and both columns at every rotation
+_LEVEL_8_DIGESTS = {
+    0.3: "308a19443f0581af1e7e73e26be3dda04403606c6526f529a178ea2e12ad9332",
+    7 / 6: "61ad7653fb63594cdbabb1971ea142d44f9fb8f0c831f84ef1871165a810f381",
+}
+
+
+@pytest.mark.parametrize("mu", sorted(_LEVEL_8_DIGESTS))
+def test_dense_eigs_level_8_bits_are_pinned(mu):
+    eigs = dense_eigs(pencil_matrix(build_level(8), mu))
+    assert hashlib.sha256(eigs.astype("<f8").tobytes()).hexdigest() == _LEVEL_8_DIGESTS[mu]
+
+
+@pytest.mark.parametrize("n, mu, residual", [(4, 3.0, "1.686e-07"), (5, 1000.0, "6.104e-05"),
+                                             (6, 10.0, "9.537e-07")])
+def test_dense_eigs_failures_at_large_mu_are_pinned(n, mu, residual):
+    with pytest.raises(ConvergenceError) as info:
+        dense_eigs(pencil_matrix(build_level(n), mu))
+    assert str(info.value) == f"rotation sweeps exhausted with off-diagonal residual {residual}"
+
+
+def _dense_eigs_oracle(m):
+    """`dense_eigs` as it was before its in-place kernel: each rotation builds
+    two new rows and copies them into rows p, q and columns p, q."""
+    a = np.array(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
+        raise DomainError("dense eigensolver expects a symmetric matrix")
+    n = a.shape[0]
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        raise DomainError("dense eigensolver expects finite entries with a finite norm")
+    if n == 1:
+        return a[0].copy()
+    if fro == 0.0:
+        return np.zeros(n)
+    thresh = lamplighter._TOL_FACTOR * fro
+    skip = thresh / (2.0 * n)
+
+    def offnorm():
+        return math.sqrt(max((a * a).sum() - (np.diag(a) ** 2).sum(), 0.0))
+
+    for _ in range(lamplighter._SWEEP_LIMIT):
+        if offnorm() <= thresh:
+            return np.sort(np.diag(a))
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a.item(p, q)
+                if abs(apq) <= skip:
+                    continue
+                rotated = True
+                app, aqq = a.item(p, p), a.item(q, q)
+                tau = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                cos = 1.0 / math.hypot(1.0, t)
+                sin = t * cos
+                row_p, row_q = a[p], a[q]
+                new_p = cos * row_p - sin * row_q
+                new_q = sin * row_p + cos * row_q
+                cpp, cqp = cos * app - sin * apq, cos * apq - sin * aqq
+                cpq, cqq = sin * app + cos * apq, sin * apq + cos * aqq
+                new_p[p], new_p[q] = cos * cpp - sin * cqp, 0.0
+                new_q[p], new_q[q] = 0.0, sin * cpq + cos * cqq
+                a[p], a[q] = new_p, new_q
+                a[:, p], a[:, q] = new_p, new_q
+        if not rotated:
+            break
+    residual = offnorm()
+    if residual <= thresh:
+        return np.sort(np.diag(a))
+    raise ConvergenceError(
+        f"rotation sweeps exhausted with off-diagonal residual {residual:.3e}",
+        residual=residual,
+    )
+
+
+# exact zeros and repeated dyadic entries (ties in the diagonal make tau 0),
+# next to arbitrary doubles
+_ENTRIES = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 0.25]),
+                     st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(1, 24))
+    upper = np.triu_indices(n)
+    a = np.zeros((n, n))
+    a[upper] = draw(st.lists(_ENTRIES, min_size=len(upper[0]), max_size=len(upper[0])))
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    # -0.0 opposite +0.0: the symmetry guard compares values, so both pass it
+    for i, j in zip(*lower):
+        if a[i, j] == 0.0 and draw(st.booleans()):
+            a[i, j] = -0.0
+    # a scale from subnormal products up to a norm that overflows
+    return a * draw(st.sampled_from([1.0, 1.0, 2.0**-1000, 1e-300, 1e150, 1e200]))
+
+
+@given(matrix=_symmetric_matrices())
+@settings(max_examples=80, deadline=None)
+def test_dense_eigs_matches_the_copying_kernel_bit_for_bit(matrix):
+    def outcome(solve):
+        try:
+            return solve(matrix.copy()).astype("<f8").tobytes()
+        except (ConvergenceError, DomainError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(dense_eigs) == outcome(_dense_eigs_oracle)
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 2.0])
 def test_eigenvalue_multiset_matches_factorization(mu):
     # predicted: {4 - mu} once, zeros of G_k with multiplicity 2^(n-1-k)
@@ -258,7 +372,7 @@ def test_eigenvalue_multiset_matches_factorization(mu):
 
 
 def test_dense_limit_refuses_a_level_the_rotation_solver_does_not_finish(monkeypatch):
-    # level 9 took 21-33 s on 2 cores, level 10 over 146 s; the budget comes first
+    # level 9 took 20-28 s on 2 cores, level 10 148 s; the budget comes first
     def allocated(*args, **kwargs):
         raise AssertionError("a level matrix was allocated")
 
