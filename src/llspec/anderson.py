@@ -241,10 +241,9 @@ def default_checkpoints(theoretical: AtomicMeasure) -> np.ndarray:
     lo = -4.0 - abs(x) - 0.5
     hi = 4.0 + abs(x) + 0.5
     pts = np.linspace(lo, hi, _CHECKPOINTS)
-    positions = np.array([a.position for a in theoretical.atoms])
     tol = coalesce_tol(x)
     for i in range(len(pts)):
-        while positions.size and np.min(np.abs(positions - pts[i])) <= tol:
+        while theoretical.atoms_at(pts[i]):
             pts[i] += 3 * tol  # far above an ulp of pts[i], at any mu
     return pts
 
@@ -260,10 +259,8 @@ def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> Compariso
     checkpoints = np.asarray(list(checkpoints), dtype=float)
     if checkpoints.size == 0:
         raise DomainError("need at least one checkpoint")
-    positions = np.array([a.position for a in theoretical.atoms])
-    tol = coalesce_tol(mu_value(theoretical.mu))
     for c in checkpoints:
-        if positions.size and np.min(np.abs(positions - c)) <= tol:
+        if theoretical.atoms_at(c):
             raise DomainError(f"checkpoint {c} sits on an atom position")
     if isinstance(empirical, AtomicMeasure):
         emp_cdf = measure_cdf_mids(empirical, checkpoints.tolist())

@@ -13,14 +13,15 @@ are accepted as floats and bare p/q as rationals.  Reals are printed with 17
 significant digits, rationals as "p/q".  With --check, every command but
 spectrum exits 3 when its acceptance bound is breached; --tol sets that bound
 and nothing else (measure, multiplicity and joint-spectrum have none: they
-decide by exact masses and `measure.coalesce_tol`, which merges measure atoms
-only where `measure.classify_mu` reports B1 or B2).  eigs --check compares the
-whole sorted spectrum with the roots of the factorization.  Domain and capacity
+decide by exact masses and the same-point rule `measure.coalesce_tol`).
+multiplicity reads each root from the atoms of one `measure_truncation`, and
+eigs --check and multiplicity --check pair the sorted spectrum one to one with
+the roots those atoms give (`measure.level_roots`).  Domain and capacity
 errors, an --out path that cannot be opened and a failed write exit 2, and a
 solver that fails to converge exits 4.  The memory budget binds the commands
 that build a level matrix (char-poly, eigs, multiplicity --check); the last two
-also refuse a level over `lamplighter._DENSE_LEVEL_MAX`.  Plain multiplicity
-evaluates only the factorization, which the grid work bound alone limits.
+also refuse a level over `lamplighter._DENSE_LEVEL_MAX`.  multiplicity's
+--level is a depth of its sweep, so it is capped like --depth.
 
 Each handler returns what it computed as a `_Result`; `main` alone writes it,
 as CSV or JSON, and maps it to the exit code.
@@ -78,10 +79,10 @@ _GRID_MAX = 10**6
 _GRID_SECONDS_MAX = 60
 
 
-def _zeros_seconds(depth: int) -> float:
-    """Estimated seconds for the zeros of G_1 .. G_depth at one mu (measured 0.24 s at 200)."""
-    depth = min(depth, 10**6)  # deeper is over the bound at one point, and would overflow
-    return 6e-6 * depth * (depth + 10)
+# seconds a `multiplicity` row is estimated to take once its one sweep over
+# G_1 .. G_level is done: on 2 cores 10^5 rows took 1.5 s at level 200 and 0.9 s
+# at level 12, so the count cap of 10^6 rows stays near 15-20 s
+_ROW_SECONDS = 2e-5
 
 
 def _parse_grid(spec: str, point_seconds: float) -> list[float]:
@@ -135,13 +136,13 @@ _DEPTH_MAX = 200
 _SITES_MAX = 10**8
 
 
-def _depth(depth: int) -> int:
-    """--depth of the commands that sum over G_1 .. G_depth, checked before any work."""
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if depth > _DEPTH_MAX:
-        raise DomainError(f"depth must be <= {_DEPTH_MAX}, got {depth}")
-    return depth
+def _depth(value: int, name: str = "depth") -> int:
+    """--depth (multiplicity: --level) of a sweep over G_1 .. G_value, checked before any work."""
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1")
+    if value > _DEPTH_MAX:
+        raise DomainError(f"{name} must be <= {_DEPTH_MAX}, got {value}")
+    return value
 
 
 def _open_out(path: str | None):
@@ -210,26 +211,28 @@ def _cmd_char_poly(args) -> _Result:
 
 
 def _cmd_eigs(args) -> _Result:
-    import numpy as np
+    from . import lamplighter
 
-    from . import ghpolys, lamplighter
-
-    mu = measure.mu_value(measure.parse_mu(args.mu))
+    param = measure.parse_mu(args.mu)
+    mu = measure.mu_value(param)
     n = args.level
     lamplighter._check_dense_level(n)
-    rep = lamplighter.build_level(n)
-    eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, mu))
-    rows = [(i, v) for i, v in enumerate(eigs)]
+    eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(lamplighter.build_level(n), mu))
     payload = {"mu": args.mu, "level": n, "eigenvalues": [float(v) for v in eigs]}
     failed = False
     if args.check:
-        # the factorization's roots: 4 - mu, and G_k's zeros as often as its exponent
-        factored = np.sort(np.concatenate([[4.0 - mu]] + [
-            np.repeat(ghpolys.g_zeros(k, mu), lamplighter._g_exponent(n, k))
-            for k in range(1, n + 1)]))
-        failed = (len(eigs) != len(factored)
-                  or not np.max(np.abs(np.sort(eigs) - factored)) <= args.tol)
-    return _Result(("index", "eigenvalue"), _csv_rows(rows), payload, failed)
+        # level 0 is the lead factor alone
+        roots = (measure.level_roots(measure.measure_truncation(param, n)) if n
+                 else [4.0 - mu])
+        failed = not _matches_roots(eigs, roots, args.tol)
+    return _Result(("index", "eigenvalue"), _csv_rows(enumerate(eigs)), payload, failed)
+
+
+def _matches_roots(eigs, roots, bound: float) -> bool:
+    """Whether the sorted eigenvalues and the sorted roots pair off one to one within bound."""
+    import numpy as np
+
+    return len(eigs) == len(roots) and bool(np.max(np.abs(np.sort(eigs) - roots)) <= bound)
 
 
 def _cmd_zeros(args) -> _Result:
@@ -302,31 +305,25 @@ def _cmd_multiplicity(args) -> _Result:
 
     from . import lamplighter
 
-    # below, a DomainError of multiplicity_in_phi means "not a root", so the
-    # level and the same-point tolerance at mu are checked here, the level first
-    if args.level < 1:
-        raise DomainError("level must be >= 1")
+    level = _depth(args.level, "level")
     mu = measure.parse_mu(args.mu)
-    grid = _parse_grid(args.grid, _zeros_seconds(args.level))
-    tol = measure.coalesce_tol(measure.mu_value(mu))
+    grid = _parse_grid(args.grid, _ROW_SECONDS)
     # only the check builds and diagonalises the level matrix, so only it is held
-    # to the memory budget and the dense limit; the grid bounds the factorization
+    # to the memory budget and the dense limit
     if args.check:
-        lamplighter._check_dense_level(args.level)
-        rep = lamplighter.build_level(args.level)
-        eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(rep, measure.mu_value(mu)))
-    rows = []
-    for lam in grid:
-        try:
-            mult = measure.multiplicity_in_phi(args.level, lam, mu)
-            rows.append((lam, mult, 1))
-        except DomainError:
-            rows.append((lam, 0, 0))
+        lamplighter._check_dense_level(level)
+    trunc = measure.measure_truncation(mu, level)
+    rows = [(lam, m, int(m > 0)) for lam in grid for m in [measure.root_multiplicity(trunc, lam)]]
     header = ("lam", "multiplicity", "is_root")
-    payload = {"mu": args.mu, "level": args.level, "rows": [dict(zip(header, r)) for r in rows]}
-    failed = args.check and any(
-        int(np.sum(np.abs(eigs - lam) <= tol)) != mult for lam, mult, _ in rows
-    )
+    payload = {"mu": args.mu, "level": level, "rows": [dict(zip(header, r)) for r in rows]}
+    failed = False
+    if args.check:
+        x = measure.mu_value(mu)
+        tol = measure.coalesce_tol(x)
+        eigs = lamplighter.dense_eigs(lamplighter.pencil_matrix(lamplighter.build_level(level), x))
+        # a row that is no root must have no eigenvalue at its point either
+        failed = not _matches_roots(eigs, measure.level_roots(trunc), tol) or any(
+            not is_root and np.min(np.abs(eigs - lam)) <= tol for lam, _, is_root in rows)
     return _Result(header, _csv_rows(rows), payload, failed)
 
 
@@ -338,7 +335,8 @@ def _cmd_joint_spectrum(args) -> _Result:
     depth = _depth(args.depth)
     rows = []
     ok = True
-    for mu in _parse_grid(args.grid, _zeros_seconds(depth)):
+    # the zeros of G_1 .. G_depth at one mu: measured 0.24 s at depth 200
+    for mu in _parse_grid(args.grid, 6e-6 * depth * (depth + 10)):
         onset = jacobi.critical_index(mu) if abs(mu) > 1 else None
         tol = measure.coalesce_tol(mu)
         for k in range(1, depth + 1):

@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -45,27 +46,6 @@ from typing import Union
 from .chebyshev import u_eval
 from .errors import DomainError
 from .jacobi import band_edge_index
-
-__all__ = [
-    "FloatMu",
-    "RationalMu",
-    "B1Mu",
-    "B2Mu",
-    "MuParam",
-    "mu_value",
-    "mu_exact",
-    "parse_mu",
-    "format_mu",
-    "MuClassification",
-    "classify_mu",
-    "coalesce_tol",
-    "Atom",
-    "AtomicMeasure",
-    "measure_truncation",
-    "multiplicity_in_phi",
-    "measure_cdf_mids",
-    "measure_to_json",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +315,37 @@ class Atom:
 class AtomicMeasure:
     mu: MuParam
     depth: int
-    atoms: tuple[Atom, ...]
+    atoms: tuple[Atom, ...]  # ascending by position
     tail_mass: Fraction
 
     def total_mass(self) -> Fraction:
         return sum((a.mass for a in self.atoms), Fraction(0)) + self.tail_mass
 
+    def atoms_at(self, position: float) -> tuple[Atom, ...]:
+        """The atoms of the point `position` falls on; () when it is on none.
+
+        That point is the nearest atom, if it lies within `coalesce_tol`, with
+        every atom at the same double.  The atoms are in ascending order, so
+        the nearest is found by bisection; of two equally near, the lower.
+        """
+        tol = coalesce_tol(mu_value(self.mu))
+        atoms = self.atoms
+        i = bisect.bisect_left(atoms, position, key=_position)
+        near = min(atoms[max(i - 1, 0):i + 1], key=lambda a: abs(a.position - position))
+        if not abs(near.position - position) <= tol:
+            return ()
+        return atoms[bisect.bisect_left(atoms, near.position, key=_position):
+                     bisect.bisect_right(atoms, near.position, key=_position)]
+
     def atom_near(self, position: float) -> Atom:
         """The atom nearest to position, which must lie within `coalesce_tol`."""
-        tol = coalesce_tol(mu_value(self.mu))
-        atom = min(self.atoms, key=lambda a: abs(a.position - position))
-        if not abs(atom.position - position) <= tol:
-            raise DomainError(f"no atom within {tol} of {position}")
-        return atom
+        atoms = self.atoms_at(position)
+        if not atoms:
+            raise DomainError(f"no atom within {coalesce_tol(mu_value(self.mu))} of {position}")
+        return atoms[0]
+
+
+_position = operator.attrgetter("position")
 
 
 def tail_mass(depth: int) -> Fraction:
@@ -405,31 +403,36 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
 
 
 def multiplicity_in_phi(n: int, lam: float, mu: MuParam) -> int:
-    """Multiplicity of lam as a root of the level-n determinant.
-
-    A zero of G_k has G_k's exponent in the factorization, plus 1 if lam is
-    the root 4 - mu of the leading factor; collisions simply add exponents.
-    Contributing indices are found by matching lam against each zero set (and
-    against 4 - mu) with `coalesce_tol`, which realizes the same case rules as
-    the exceptional-set classification and is directly checkable against the
-    dense eigensolver.
-    """
-    import numpy as np
-
-    from .ghpolys import g_zeros
-    from .lamplighter import _g_exponent
-
+    """Multiplicity of lam as a root of the level-n determinant; 0 when it is none."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    x = mu_value(mu)
-    tol = coalesce_tol(x)
-    mult = sum(_g_exponent(n, k) for k in range(1, n + 1)
-               if np.min(np.abs(g_zeros(k, x) - lam)) <= tol)
-    if abs(lam - (4.0 - x)) <= tol:
-        mult += 1
-    if mult == 0:
-        raise DomainError(f"{lam} is not a root of the level-{n} determinant")
-    return mult
+    return root_multiplicity(measure_truncation(mu, n), lam)
+
+
+def root_multiplicity(measure: AtomicMeasure, lam: float) -> int:
+    """Multiplicity of lam as a root of the level-n determinant, n = measure.depth.
+
+    In Phi_n = (4 - lam - mu) prod G_k^(e_k) a root takes the exponent e_k of
+    each G_k it is a zero of: the indices of the atoms lam falls on, as
+    `AtomicMeasure.atoms_at` decides; 1 more when lam is 4 - mu.
+    """
+    from .lamplighter import _g_exponent  # and so numpy: parsing a parameter needs neither
+
+    x = mu_value(measure.mu)
+    mult = sum(_g_exponent(measure.depth, k) for a in measure.atoms_at(lam) for k in a.indices)
+    return mult + (abs(lam - (4.0 - x)) <= coalesce_tol(x))
+
+
+def level_roots(measure: AtomicMeasure):
+    """The roots of the level-n determinant, n = measure.depth, ascending, each as often
+    as `root_multiplicity` counts it: 4 - mu, and each atom once per e_k of its indices."""
+    import numpy as np
+
+    from .lamplighter import _g_exponent
+
+    counts = [sum(_g_exponent(measure.depth, k) for k in a.indices) for a in measure.atoms]
+    roots = np.repeat([a.position for a in measure.atoms], counts)
+    return np.sort(np.append(roots, 4.0 - mu_value(measure.mu)))
 
 
 def measure_cdf_mids(measure: AtomicMeasure, xs) -> list[float]:

@@ -156,8 +156,9 @@ def test_compare_ids_rejects_checkpoints_on_atoms():
 @given(st.floats(-3.0, 300.0), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_default_checkpoints_are_accepted_by_compare_ids(log_mu, negative):
-    # both sides ask `coalesce_tol` whether a point sits on an atom, so they
-    # agree at every scale, and each nudge is large enough to move the point
+    # both sides ask the measure's one query, `AtomicMeasure.atoms_at`, whether a
+    # point sits on an atom, so they agree at every scale, and each nudge of
+    # 3 `coalesce_tol` is large enough to move the point
     mu = -(10.0**log_mu) if negative else 10.0**log_mu
     trunc = measure_truncation(FloatMu(mu), 8)
     checkpoints = default_checkpoints(trunc)

@@ -183,6 +183,60 @@ def test_multiplicity_and_its_check_share_the_same_point_rule(capsys):
     assert out.splitlines()[1] == "-2.0223743416156683,0,0"
 
 
+@pytest.mark.parametrize("level, mu, lam", [(3, "rat:1000/1", "1000.002"),
+                                           (7, "rat:7/1", "7.285714285694477")])
+def test_multiplicity_of_crowded_outliers_is_one(capsys, level, mu, lam):
+    # the outliers of G_2 .. G_level crowd toward mu + 2/mu, closer than the
+    # same-point tolerance; the nearest zero alone owns a point, a simple root
+    code, out, _ = _run(capsys, "multiplicity", "--level", str(level), "--mu", mu,
+                        "--grid", lam, "--check")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split(",")[1:] == ["1", "1"]
+
+
+def test_multiplicity_sweeps_g_1_to_g_level_once(capsys, monkeypatch):
+    calls = Counter()
+    solve = ghpolys.g_zeros
+
+    def counted(k, mu):
+        calls[k] += 1
+        return solve(k, mu)
+
+    monkeypatch.setattr(ghpolys, "g_zeros", counted)
+    code, out, _ = _run(capsys, "multiplicity", "--level", "6", "--mu", "rat:2/1",
+                        "--grid=-6:6:25")
+    assert code == EXIT_OK and len(out.splitlines()) == 1 + 25
+    assert calls == Counter(range(1, 7))
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigs", "--level", "4", "--mu", "float:0.3", "--check"),
+    ("multiplicity", "--level", "4", "--mu", "float:0.3", "--grid", "2", "--check"),
+])
+def test_level_checks_read_the_one_root_multiset(capsys, monkeypatch, argv):
+    # negative control: both checks pair the spectrum with `measure.level_roots`,
+    # so one root moved by 1e-6 fails them
+    roots = measure.level_roots
+
+    def moved(trunc):
+        shifted = roots(trunc).copy()
+        shifted[3] += 1e-6
+        return shifted
+
+    assert _run(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.setattr(measure, "level_roots", moved)
+    assert _run(capsys, *argv)[0] == EXIT_CHECK
+
+
+def test_multiplicity_check_sees_an_eigenvalue_at_a_non_root(capsys, monkeypatch):
+    # a row that is no root fails the check when a dense eigenvalue sits at it
+    solve = lamplighter.dense_eigs
+    argv = ("multiplicity", "--level", "3", "--mu", "float:0.3", "--grid", "9.5", "--check")
+    assert _run(capsys, *argv) == (EXIT_OK, "lam,multiplicity,is_root\n9.5,0,0\n", "")
+    monkeypatch.setattr(lamplighter, "dense_eigs", lambda m: np.append(solve(m)[1:], 9.5))
+    assert _run(capsys, *argv)[0] == EXIT_CHECK
+
+
 def test_joint_spectrum_check(capsys):
     grid = ",".join(str(1.0 + 1.0 / n) for n in range(2, 7)) + ",0.5"
     code, out, _ = _run(
@@ -906,12 +960,14 @@ def test_malformed_grid_exits_two(capsys, argv):
          lamplighter, "phi_det_signlog"),
         (("char-poly", "--level", "12", "--mu", "float:0.3", "--grid=-6:6:30"),
          lamplighter, "phi_det_signlog"),
-        (("multiplicity", "--level", "12", "--mu", "float:0.3", "--grid=-6:6:1000000"),
-         measure, "multiplicity_in_phi"),
+        # 10^6 rows fit at any level, so only the check's dense limit refuses this
+        (("multiplicity", "--level", "12", "--mu", "float:0.3", "--grid=-6:6:1000000",
+          "--check"), measure, "measure_truncation"),
+        # the level is a depth of multiplicity's sweep, capped like --depth
         (("multiplicity", "--level", "100000", "--mu", "float:0.3", "--grid", "0"),
-         measure, "multiplicity_in_phi"),
+         measure, "measure_truncation"),
         (("multiplicity", "--level", str(10**400), "--mu", "float:0.3", "--grid", "0"),
-         measure, "multiplicity_in_phi"),
+         measure, "measure_truncation"),
     ],
     ids=["joint-d200", "joint-d8", "char-poly-l12", "char-poly-l12-g30", "mult-l12",
          "mult-l100000", "mult-l1e400"],
@@ -925,7 +981,28 @@ def test_grid_over_the_work_bound_is_refused_before_any_work(capsys, monkeypatch
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_DOMAIN and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and f"exceed the bound of {cli._GRID_SECONDS_MAX} s" in err
+    if argv[0] == "multiplicity":
+        level = argv[2]
+        assert err == (f"error: level {level} exceeds 9, the highest level the dense "
+                       "eigensolver finishes within 60 s\n" if "--check" in argv else
+                       f"error: level must be <= {cli._DEPTH_MAX}, got {level}\n")
+    else:
+        assert err.startswith("error: ") and f"exceed the bound of {cli._GRID_SECONDS_MAX} s" in err
+
+
+def test_multiplicity_grid_is_priced_per_row(capsys):
+    # the sweep over G_1 .. G_level runs once, so a row costs the same at
+    # every level and the count cap of 10^6 rows is within the time bound
+    assert len(cli._parse_grid("-6:6:1000000", cli._ROW_SECONDS)) == cli._GRID_MAX
+    assert cli._GRID_MAX * cli._ROW_SECONDS <= cli._GRID_SECONDS_MAX
+    # 4 - mu is the lead factor's simple root, and no G_k's zero
+    code, out, err = _run(capsys, "multiplicity", "--level", str(cli._DEPTH_MAX),
+                          "--mu", "float:0.3", "--grid", "3.7")
+    assert (code, out.splitlines()[1].split(",")[1:], err) == (EXIT_OK, ["1", "1"], "")
+    code, out, err = _run(capsys, "multiplicity", "--level", str(cli._DEPTH_MAX + 1),
+                          "--mu", "float:0.3", "--grid", "3.7")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.splitlines() == [f"error: level must be <= {cli._DEPTH_MAX}, got 201"]
 
 
 def test_grid_bound_admits_the_default_grid_at_level_12(capsys, monkeypatch):

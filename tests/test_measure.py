@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -428,24 +429,49 @@ def test_multiplicity_values():
     assert multiplicity_in_phi(6, 1.0, RationalMu(1, 1)) == 18  # 16 + 7*8/28
     assert multiplicity_in_phi(4, 4.0 - 0.3, FloatMu(0.3)) == 1
     assert multiplicity_in_phi(5, float(g_zeros(2, 0.3)[0]), FloatMu(0.3)) == 4
+    assert multiplicity_in_phi(4, 123.0, FloatMu(0.3)) == 0  # no root
     with pytest.raises(DomainError):
-        multiplicity_in_phi(4, 123.0, FloatMu(0.3))
+        multiplicity_in_phi(0, 3.7, FloatMu(0.3))
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 1.5, 2.0])
+def test_crowded_outliers_are_roots_of_their_own():
+    # at mu = 3 the largest zeros of G_10, G_11 and G_12 lie 1.3e-10 apart,
+    # inside the same-point tolerance of 8e-9, yet each is a zero of its own
+    # G_k alone; the nearest atom alone owns a point
+    mu = RationalMu(3, 1)
+    x_12 = 3.666666666649881
+    assert float(g_zeros(12, 3.0)[-1]) == x_12
+    assert multiplicity_in_phi(12, x_12, mu) == 1
+    trunc = measure_truncation(mu, 12)
+    assert [a.indices for a in trunc.atoms_at(x_12)] == [(12,)]
+    # each neighbour takes the exponent of its own G_k alone
+    for k, exponent in ((10, 2), (11, 1), (12, 1)):
+        assert measure.root_multiplicity(trunc, float(g_zeros(k, 3.0)[-1])) == exponent
+
+
+# levels 1-6 where the rotation solver converges: at mu = 1000 it stops short
+# of its threshold at levels 5 and 6
+_ORACLE_LEVELS = {mu: range(1, 7) for mu in (0.0, 0.3, 1.0, 1.5, 2.0, 7.0, 30.0, 100.0)}
+_ORACLE_LEVELS[1000.0] = range(1, 5)
+
+
+@pytest.mark.parametrize("mu", list(_ORACLE_LEVELS))
 def test_multiplicities_match_dense_oracle(mu):
+    # the sorted match pairs each dense eigenvalue with one root of the
+    # factorization; each eigenvalue then has its root's multiplicity, which
+    # at mu = 30, 100 and 1000 tells apart outliers closer than the tolerance
     param = FloatMu(mu)
-    for n in range(1, 7):
-        eigs = dense_eigs(pencil_matrix(build_level(n), mu))
-        # cluster the eigenvalues, then compare each cluster count
-        clusters = []
-        for v in eigs:
-            if clusters and v - clusters[-1][0] <= 1e-7:
-                clusters[-1] = (clusters[-1][0], clusters[-1][1] + 1)
-            else:
-                clusters.append((float(v), 1))
-        for pos, count in clusters:
-            assert multiplicity_in_phi(n, pos, param) == count
+    tol = measure.coalesce_tol(mu)
+    for n in _ORACLE_LEVELS[mu]:
+        roots = measure.level_roots(measure_truncation(param, n))
+        eigs = np.sort(dense_eigs(pencil_matrix(build_level(n), mu)))
+        assert len(eigs) == len(roots) and np.max(np.abs(eigs - roots)) <= tol
+        # a root's point is its atom's double, or 4 - mu, which at a B3
+        # parameter is also the zero of one G_k
+        points = ["lead" if abs(r - (4.0 - mu)) <= tol else r for r in roots.tolist()]
+        sizes = Counter(points)
+        for eig, point in zip(eigs.tolist(), points):
+            assert multiplicity_in_phi(n, eig, param) == sizes[point]
 
 
 def test_generic_zero_sets_disjoint():
