@@ -31,14 +31,10 @@ _SUBMODULE_OF = {
             "isolated_eigenvalue", "isolated_mass", "jstar_spectrum", "jstar_truncation",
             "pencil_spectrum", "tridiag_eigs",
         ),
-        "lamplighter": (
-            "LevelRep", "build_level", "dense_eigs", "pencil_matrix", "phi_det",
-            "phi_factorized",
-        ),
+        "lamplighter": ("LevelRep", "build_level", "dense_eigs", "pencil_matrix"),
         "measure": (
             "Atom", "AtomicMeasure", "B1Mu", "B2Mu", "FloatMu", "MuParam", "RationalMu",
-            "classify_mu", "format_mu", "measure_truncation", "multiplicity_in_phi",
-            "mu_value", "parse_mu",
+            "classify_mu", "format_mu", "measure_truncation", "mu_value", "parse_mu",
         ),
         "anderson": (
             "EmpiricalIDS", "JacobiSample", "block_decompose", "build_jacobi_sample",

@@ -249,12 +249,11 @@ def default_checkpoints(theoretical: AtomicMeasure) -> np.ndarray:
 
 
 def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> ComparisonReport:
-    """Sup distance between an empirical CDF and the truncated-measure CDF.
+    """Sup distance between an `EmpiricalIDS` and the truncated-measure CDF.
 
     The theoretical value at a point is only known to within the truncation
     tail, so the midpoint of [lo, lo + tail] is used and the tail width is
-    reported alongside.  `empirical` may itself be an AtomicMeasure, in which
-    case its midpoint CDF is compared (useful as a self-consistency check).
+    reported alongside.
     """
     checkpoints = np.asarray(list(checkpoints), dtype=float)
     if checkpoints.size == 0:
@@ -262,10 +261,7 @@ def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> Compariso
     for c in checkpoints:
         if theoretical.atoms_at(c):
             raise DomainError(f"checkpoint {c} sits on an atom position")
-    if isinstance(empirical, AtomicMeasure):
-        emp_cdf = measure_cdf_mids(empirical, checkpoints.tolist())
-    else:
-        emp_cdf = [empirical.cdf(c) for c in checkpoints]
+    emp_cdf = [empirical.cdf(c) for c in checkpoints]
     theo_mid = measure_cdf_mids(theoretical, checkpoints.tolist())
     deviations = [abs(e - t) for e, t in zip(emp_cdf, theo_mid)]
     return ComparisonReport(

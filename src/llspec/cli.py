@@ -179,6 +179,16 @@ class _Result(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _signlog_float(sign: float, logabs: float) -> float:
+    """sign * exp(logabs), saturating to +-inf; 0.0 when sign is 0."""
+    if sign == 0.0:
+        return 0.0
+    try:
+        return sign * math.exp(logabs)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
+
+
 def _cmd_char_poly(args) -> _Result:
     import numpy as np
 
@@ -198,10 +208,7 @@ def _cmd_char_poly(args) -> _Result:
             rel = math.inf
         else:
             rel = abs(l_det - l_fac) / max(1.0, abs(l_det), abs(l_fac))
-        rows.append(
-            (lam, lamplighter._signlog_float(s_det, l_det),
-             lamplighter._signlog_float(s_fac, l_fac), rel)
-        )
+        rows.append((lam, _signlog_float(s_det, l_det), _signlog_float(s_fac, l_fac), rel))
     worst = float(np.max([row[3] for row in rows]))  # a NaN propagates, unlike max()
     header = ("lam", "phi_det", "phi_factorized", "rel_err")
     payload = {"mu": args.mu, "level": args.level, "max_rel_err": worst,
@@ -617,7 +624,12 @@ def main(argv=None) -> int:
         with _open_out(args.out) as stream:
             result = args.func(args)
             if args.format == "json":
-                stream.write(json.dumps(result.payload, indent=2, sort_keys=True) + "\n")
+                # in blocks of encoder chunks: with indent, json.dumps holds every chunk
+                # before it joins them, and json.dump's write per chunk doubles the CPU
+                chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(result.payload)
+                while block := "".join(itertools.islice(chunks, 4096)):
+                    stream.write(block)
+                stream.write("\n")
             else:
                 stream.writelines(itertools.chain([",".join(result.header) + "\n"], result.lines))
             stream.flush()  # a stdout that fails does so here, not in the exit-time flush

@@ -54,16 +54,6 @@ class TridiagonalMatrix:
     def n(self) -> int:
         return len(self.diag)
 
-    def dense(self) -> np.ndarray:
-        import numpy as np
-
-        m = np.diag(self.diag)
-        if self.n > 1:
-            idx = np.arange(self.n - 1)
-            m[idx, idx + 1] = self.offdiag
-            m[idx + 1, idx] = self.offdiag
-        return m
-
 
 @dataclass(frozen=True)
 class SpectrumDescription:

@@ -111,20 +111,6 @@ def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     return float(sign), float(logabs)
 
 
-def _signlog_float(sign: float, logabs: float) -> float:
-    """sign * exp(logabs), saturating to +-inf; 0.0 when sign is 0."""
-    if sign == 0.0:
-        return 0.0
-    try:
-        return sign * math.exp(logabs)
-    except OverflowError:
-        return math.copysign(math.inf, sign)
-
-
-def phi_det(n: int, lam: float, mu: float) -> float:
-    return _signlog_float(*phi_det_signlog(n, lam, mu))
-
-
 def _g_exponent(n: int, k: int) -> int:
     """Exponent of G_k in the level-n factorization: 2^(n-1-k) for k < n, 1 for k = n."""
     return 1 if k == n else 1 << (n - 1 - k)
@@ -154,10 +140,6 @@ def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]
         if gs < 0.0 and exponent % 2 == 1:
             sign = -sign
     return sign, logabs
-
-
-def phi_factorized(n: int, lam: float, mu: float) -> float:
-    return _signlog_float(*phi_factorized_signlog(n, lam, mu))
 
 
 # highest level whose matrix `dense_eigs` diagonalises within the 60 s of

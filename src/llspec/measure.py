@@ -402,13 +402,6 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     return AtomicMeasure(mu=mu, depth=depth, atoms=tuple(atoms), tail_mass=tail_mass(depth))
 
 
-def multiplicity_in_phi(n: int, lam: float, mu: MuParam) -> int:
-    """Multiplicity of lam as a root of the level-n determinant; 0 when it is none."""
-    if n < 1:
-        raise DomainError("level must be >= 1")
-    return root_multiplicity(measure_truncation(mu, n), lam)
-
-
 def root_multiplicity(measure: AtomicMeasure, lam: float) -> int:
     """Multiplicity of lam as a root of the level-n determinant, n = measure.depth.
 

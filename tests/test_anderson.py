@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from llspec import anderson
 from llspec.anderson import (
+    EmpiricalIDS,
     block_decompose,
     build_jacobi_sample,
     compare_ids,
@@ -128,9 +129,6 @@ def test_compare_ids_pipeline():
     report = compare_ids(ids, trunc, default_checkpoints(trunc))
     assert report.sup_deviation < 0.02
     assert report.tail_mass == pytest.approx(14.0 / 2.0 ** 13)
-    # self-comparison of the truncated measure is exactly zero
-    self_report = compare_ids(trunc, trunc, default_checkpoints(trunc))
-    assert self_report.sup_deviation == 0.0
 
 
 def test_exceptional_parameter_end_to_end():
@@ -147,10 +145,14 @@ def test_exceptional_parameter_end_to_end():
     assert abs(at_root - 4.0 / 31.0) < 0.01
 
 
+# an empirical side with one site at 0, for the checks that look at the checkpoints alone
+_ONE_SITE = EmpiricalIDS(values=np.array([0.0]), counts=np.array([1], dtype=np.int64))
+
+
 def test_compare_ids_rejects_checkpoints_on_atoms():
     trunc = measure_truncation(RationalMu(0, 1), 6)
     with pytest.raises(DomainError):
-        compare_ids(trunc, trunc, [0.0])
+        compare_ids(_ONE_SITE, trunc, [0.0])
 
 
 @given(st.floats(-3.0, 300.0), st.booleans())
@@ -163,7 +165,7 @@ def test_default_checkpoints_are_accepted_by_compare_ids(log_mu, negative):
     trunc = measure_truncation(FloatMu(mu), 8)
     checkpoints = default_checkpoints(trunc)
     assert np.isfinite(checkpoints).all()
-    assert compare_ids(trunc, trunc, checkpoints).sup_deviation == 0.0
+    assert compare_ids(_ONE_SITE, trunc, checkpoints).checkpoints == tuple(checkpoints.tolist())
 
 
 def test_spectrum_gap_contains_only_outlier_atoms():

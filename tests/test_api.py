@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import llspec
@@ -26,9 +27,8 @@ PUBLIC = [
     "decay_rate", "dense_eigs", "empirical_ids", "errors", "format_mu", "g_value",
     "g_value_recursive", "g_zeros", "gap_sequence", "ghpolys", "isolated_eigenvalue",
     "isolated_mass", "jacobi", "jstar_spectrum", "jstar_truncation", "lamplighter",
-    "line_ids", "measure", "measure_truncation", "mu_value",
-    "multiplicity_in_phi", "novikov", "ns_invariant", "parse_mu", "pencil_matrix",
-    "pencil_spectrum", "phi_det", "phi_factorized", "sample_window", "tridiag_eigs",
+    "line_ids", "measure", "measure_truncation", "mu_value", "novikov", "ns_invariant",
+    "parse_mu", "pencil_matrix", "pencil_spectrum", "sample_window", "tridiag_eigs",
     "u_eval", "u_zeros",
 ]
 
@@ -128,3 +128,41 @@ def test_source_stays_within_the_round_budget():
     # to make on purpose, here
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "llspec").glob("*.py"))
     assert lines <= _SOURCE_LINES_MAX
+
+
+# public functions no command reaches, kept as the oracle a cross-check reads:
+# `u_zeros` is the closed form tests/test_jacobi.py checks eigenvalues against
+ORACLES = {"u_zeros"}
+
+
+def _referenced(tree) -> list[str]:
+    """Every name the code reads: bare names and attribute names."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_public_function_has_a_caller():
+    # a public function or method is kept only for a caller: the package
+    # itself, an acceptance criterion, a benchmark metric, or the oracle set
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((SRC / "llspec").glob("*.py")) if path.name != "__init__.py"}
+    in_src = Counter(name for tree in trees.values() for name in _referenced(tree))
+    acceptance = set(_referenced(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    traced = {m["name"].split(".")[1] for m in metrics if m["name"].count(".") == 2}
+    defined, unreached = set(), []
+    for module, tree in trees.items():
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                functions += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for node in functions:
+            if node.name.startswith("_"):
+                continue
+            defined.add(node.name)
+            # a reference inside the function's own body, as in a recursion, is no caller
+            outside = in_src[node.name] - _referenced(node).count(node.name)
+            if not (outside or node.name in acceptance | traced | ORACLES):
+                unreached.append(f"{module}:{node.name}")
+    assert unreached == []
+    assert ORACLES <= defined

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -286,7 +287,8 @@ def test_dos_csv_eigenvalues_match_mp_block_spectra(capsys):
     exact = []
     with mpmath.workdps(30):
         for key, block in blocks.items():
-            eigs = mpmath.eigsy(mpmath.matrix(block.dense().tolist()), eigvals_only=True)
+            dense = np.diag(block.diag) + np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+            eigs = mpmath.eigsy(mpmath.matrix(dense.tolist()), eigvals_only=True)
             exact.append(np.repeat([float(v) for v in eigs], copies[key]))
     exact = np.sort(np.concatenate(exact))
     assert len(got) == len(exact)
@@ -588,6 +590,15 @@ def test_dos_memory_does_not_grow_with_sites(tmp_path, form):
     assert peaks[1] <= peaks[0] + 15.0, peaks
 
 
+def test_json_output_takes_no_more_memory_than_csv():
+    # the JSON text is written in blocks as the encoder makes it, never held
+    # whole: at 30000 rows joining it first peaked at 1.6 times the CSV run
+    argv = ["multiplicity", "--level", "12", "--mu", "float:0.3", "--grid=-6:6:30000"]
+    csv_peak = _peak_rss_mb(argv)
+    json_peak = _peak_rss_mb([*argv, "--format", "json"])
+    assert json_peak <= 1.1 * csv_peak, (json_peak, csv_peak)
+
+
 def test_ns_large_mu_is_certified_or_refused(capsys):
     # 1e30 needs digits for the size of the eigenvalue, not only for the gap
     code, out, _ = _run(capsys, "ns", "--mu", "float:1e30", "--depth", "10", "--check")
@@ -796,6 +807,86 @@ def test_level_commands_end_in_a_documented_exit(capsys, case):
         assert abs(measure.mu_value(measure.parse_mu(argv[3][5:]))) > 1e150
     if code == EXIT_CONVERGENCE:
         assert err.startswith("error: rotation sweeps exhausted with off-diagonal residual ")
+
+
+# the exceptional values 0 and +-1, the B3 parameters 3/2 and 7/6, a double
+# just past 1, +-1e300, in-band collision forms b1:p/q:n and b2:j/k, and
+# doubles log-uniform up to 1e300
+_PARAMETER_MUS = st.one_of(
+    st.sampled_from(["rat:0/1", "rat:1/1", "rat:-1/1", "rat:3/2", "rat:7/6", "float:1.0000001",
+                     "float:1e300", "float:-1e300"]),
+    st.integers(2, 12).flatmap(lambda q: st.builds(
+        lambda p, n: f"b1:{p}/{q}:{n}",
+        st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]),
+        st.integers(1, 30).filter(lambda n: n % q != 0))),
+    st.integers(1, 20).flatmap(lambda k: st.builds(lambda j: f"b2:{j}/{k}", st.integers(1, k))),
+    st.builds(lambda sign, e: f"float:{sign * 10.0**e!r}", _SIGNS, st.floats(-300.0, 300.0)),
+)
+_BAD_PARAMETER_MUS = _BAD_MUS | st.sampled_from(["b1:2/4:1", "b1:1/3:3", "b1:0/3:1", "b2:0/3",
+                                                 "b2:4/3"])
+_JOINT_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1.5, 7 / 6, 1.0000001, 1e300, -1e300]),
+    st.builds(lambda sign, e: sign * 10.0**e, _SIGNS, st.floats(-300.0, 300.0)),
+)
+_JOINT_GRIDS = st.lists(_JOINT_VALUES, min_size=1, max_size=3).map(
+    lambda values: ",".join(repr(v) for v in values))
+_BAD_JOINT_GRIDS = st.sampled_from(["nan", "inf", "x", "1e308", "1:0:0"])
+
+
+def _spectral_cases(valid: bool):
+    """(valid, argv) of spectrum, measure, joint-spectrum, dos and ns at small sizes."""
+    mus = _PARAMETER_MUS if valid else _BAD_PARAMETER_MUS
+    grids = _JOINT_GRIDS if valid else _BAD_JOINT_GRIDS
+    depths = st.integers(1, 8)
+    return st.one_of(
+        st.builds(lambda mu, fmt: ("spectrum", f"--mu={mu}", *fmt), mus, _FORMATS),
+        st.builds(lambda mu, depth, fmt, check: ("measure", f"--mu={mu}", "--depth", str(depth),
+                                                 *fmt, *check),
+                  mus, depths, _FORMATS, _CHECKS),
+        st.builds(lambda grid, depth, fmt, check: ("joint-spectrum", "--depth", str(depth),
+                                                   f"--grid={grid}", *fmt, *check),
+                  grids, st.integers(1, 5), _FORMATS, _CHECKS),
+        st.builds(lambda mu, sites, seed, depth, fmt, check: (
+                      "dos", f"--mu={mu}", "--sites", str(sites), "--seed", str(seed),
+                      "--depth", str(depth), *fmt, *check),
+                  mus, st.integers(2, 2000), st.integers(0, 99), depths, _FORMATS, _CHECKS),
+        st.builds(lambda mu, depth, fmt, check: ("ns", f"--mu={mu}", "--depth", str(depth),
+                                                 *fmt, *check),
+                  mus, st.integers(10, 20), _FORMATS, _CHECKS),
+    ).map(lambda argv: (valid, argv))
+
+
+# the refusals of well-formed input: a window with no interior block, and a
+# parameter or depth outside what the gap sequence can certify
+_DOCUMENTED_REFUSALS = {
+    "dos": ("error: no interior blocks",),
+    "ns": ("error: gap sequence ", "error: need "),
+}
+
+
+@given(case=_spectral_cases(True) | _spectral_cases(False))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_spectral_commands_end_in_a_documented_exit(capsys, case):
+    valid, argv = case
+
+    def outcome():
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    code, out, err = outcome()
+    assert outcome() == (code, out, err)
+    assert "Traceback" not in err
+    assert re.search(r"\bnan\b", out.lower()) is None
+    if code == EXIT_DOMAIN:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert code in (EXIT_OK, EXIT_CHECK) and err == ""
+    if not valid:
+        assert code == EXIT_DOMAIN
+    elif code == EXIT_DOMAIN:
+        assert err.startswith(_DOCUMENTED_REFUSALS.get(argv[0], ())), err
 
 
 @pytest.mark.parametrize(

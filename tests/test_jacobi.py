@@ -84,7 +84,8 @@ def test_tridiag_eigs_against_dense_oracle():
         for n in (2, 5, 17, 40):
             t = jstar_truncation(mu, n)
             with mpmath.workdps(30):
-                ref = mpmath.eigsy(mpmath.matrix(t.dense().tolist()), eigvals_only=True)
+                dense = np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+                ref = mpmath.eigsy(mpmath.matrix(dense.tolist()), eigvals_only=True)
                 ref = sorted(float(v) for v in ref)
             assert np.allclose(tridiag_eigs(t), ref, atol=1e-10)
 

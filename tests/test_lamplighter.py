@@ -21,9 +21,7 @@ from llspec.lamplighter import (
     build_level,
     dense_eigs,
     pencil_matrix,
-    phi_det,
     phi_det_signlog,
-    phi_factorized,
     phi_factorized_signlog,
 )
 
@@ -75,19 +73,23 @@ def test_pencil_row_sums():
 
 
 def test_phi_det_values():
-    assert phi_det(0, 0.0, 0.0) == pytest.approx(4.0)
-    assert phi_det(1, 1.0, 2.0) == pytest.approx(1.0)
-    assert phi_det(2, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    sign, logabs = phi_det_signlog(0, 0.0, 0.0)
+    assert sign == 1.0 and math.exp(logabs) == pytest.approx(4.0)
+    sign, logabs = phi_det_signlog(1, 1.0, 2.0)
+    assert sign == 1.0 and math.exp(logabs) == pytest.approx(1.0)
+    sign, logabs = phi_det_signlog(2, 0.0, 0.0)
+    assert sign == 0.0 or math.exp(logabs) <= 1e-12
 
 
 def test_phi_factorized_values():
-    assert phi_factorized(2, 0.0, 0.0) == 0.0
-    assert phi_factorized(3, 1.0, 1.0) == 0.0
-    det = phi_det(5, 0.3, 0.7)
-    fac = phi_factorized(5, 0.3, 0.7)
-    assert fac == pytest.approx(det, rel=1e-8)
+    assert phi_factorized_signlog(2, 0.0, 0.0) == (0.0, -math.inf)
+    assert phi_factorized_signlog(3, 1.0, 1.0) == (0.0, -math.inf)
+    s_det, l_det = phi_det_signlog(5, 0.3, 0.7)
+    s_fac, l_fac = phi_factorized_signlog(5, 0.3, 0.7)
+    assert s_fac == s_det and math.exp(l_fac) == pytest.approx(math.exp(l_det), rel=1e-8)
     # level 0 is the lead factor 4 - lam - mu alone; a negative level has no product
-    assert phi_factorized(0, 1.0, 0.3) == pytest.approx(2.7, rel=1e-15)
+    sign, logabs = phi_factorized_signlog(0, 1.0, 0.3)
+    assert sign == 1.0 and math.exp(logabs) == pytest.approx(2.7, rel=1e-15)
     with pytest.raises(DomainError, match="needs n >= 0"):
         phi_factorized_signlog(-1, 1.0, 0.3)
 

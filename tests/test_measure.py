@@ -25,9 +25,9 @@ from llspec.measure import (
     measure_cdf_mids,
     measure_to_json,
     measure_truncation,
-    multiplicity_in_phi,
     mu_value,
     parse_mu,
+    root_multiplicity,
     tail_mass,
 )
 
@@ -424,14 +424,18 @@ def test_b1_mass_limit_is_reached_by_truncations():
     assert abs(float(atom.mass) - float(limit)) < 1e-4
 
 
+def _multiplicity(n, lam, mu):
+    return root_multiplicity(measure_truncation(mu, n), lam)
+
+
 def test_multiplicity_values():
-    assert multiplicity_in_phi(6, 2.0, RationalMu(2, 1)) == 17  # 1 + 2^4
-    assert multiplicity_in_phi(6, 1.0, RationalMu(1, 1)) == 18  # 16 + 7*8/28
-    assert multiplicity_in_phi(4, 4.0 - 0.3, FloatMu(0.3)) == 1
-    assert multiplicity_in_phi(5, float(g_zeros(2, 0.3)[0]), FloatMu(0.3)) == 4
-    assert multiplicity_in_phi(4, 123.0, FloatMu(0.3)) == 0  # no root
+    assert _multiplicity(6, 2.0, RationalMu(2, 1)) == 17  # 1 + 2^4
+    assert _multiplicity(6, 1.0, RationalMu(1, 1)) == 18  # 16 + 7*8/28
+    assert _multiplicity(4, 4.0 - 0.3, FloatMu(0.3)) == 1
+    assert _multiplicity(5, float(g_zeros(2, 0.3)[0]), FloatMu(0.3)) == 4
+    assert _multiplicity(4, 123.0, FloatMu(0.3)) == 0  # no root
     with pytest.raises(DomainError):
-        multiplicity_in_phi(0, 3.7, FloatMu(0.3))
+        _multiplicity(0, 3.7, FloatMu(0.3))
 
 
 def test_crowded_outliers_are_roots_of_their_own():
@@ -441,12 +445,12 @@ def test_crowded_outliers_are_roots_of_their_own():
     mu = RationalMu(3, 1)
     x_12 = 3.666666666649881
     assert float(g_zeros(12, 3.0)[-1]) == x_12
-    assert multiplicity_in_phi(12, x_12, mu) == 1
     trunc = measure_truncation(mu, 12)
+    assert root_multiplicity(trunc, x_12) == 1
     assert [a.indices for a in trunc.atoms_at(x_12)] == [(12,)]
     # each neighbour takes the exponent of its own G_k alone
     for k, exponent in ((10, 2), (11, 1), (12, 1)):
-        assert measure.root_multiplicity(trunc, float(g_zeros(k, 3.0)[-1])) == exponent
+        assert root_multiplicity(trunc, float(g_zeros(k, 3.0)[-1])) == exponent
 
 
 # levels 1-6 where the rotation solver converges: at mu = 1000 it stops short
@@ -463,7 +467,8 @@ def test_multiplicities_match_dense_oracle(mu):
     param = FloatMu(mu)
     tol = measure.coalesce_tol(mu)
     for n in _ORACLE_LEVELS[mu]:
-        roots = measure.level_roots(measure_truncation(param, n))
+        trunc = measure_truncation(param, n)
+        roots = measure.level_roots(trunc)
         eigs = np.sort(dense_eigs(pencil_matrix(build_level(n), mu)))
         assert len(eigs) == len(roots) and np.max(np.abs(eigs - roots)) <= tol
         # a root's point is its atom's double, or 4 - mu, which at a B3
@@ -471,7 +476,7 @@ def test_multiplicities_match_dense_oracle(mu):
         points = ["lead" if abs(r - (4.0 - mu)) <= tol else r for r in roots.tolist()]
         sizes = Counter(points)
         for eig, point in zip(eigs.tolist(), points):
-            assert multiplicity_in_phi(n, eig, param) == sizes[point]
+            assert root_multiplicity(trunc, eig) == sizes[point]
 
 
 def test_generic_zero_sets_disjoint():
