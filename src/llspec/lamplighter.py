@@ -192,9 +192,11 @@ def dense_eigs(m: np.ndarray) -> np.ndarray:
         return math.sqrt(max((a * a).sum() - (np.diag(a) ** 2).sum(), 0.0))
 
     rows, cols = list(a), list(a.T)
-    # cos * row p, sin * row q, sin * row p, cos * row q of the current rotation
-    cp, sq, sp, cq = np.empty((4, n))
-    item, multiply, subtract, add = a.item, np.multiply, np.subtract, np.add
+    # sin * row p and sin * row q of the current rotation; cos and sin as 0-d
+    # arrays, which a ufunc takes without converting a Python float
+    sp, sq = np.empty((2, n))
+    c0, s0 = np.empty(()), np.empty(())
+    item, multiply, subtract, add, copyto = a.item, np.multiply, np.subtract, np.add, np.copyto
     copysign, hypot = math.copysign, math.hypot
     for _ in range(_SWEEP_LIMIT):
         if offnorm() <= thresh:
@@ -214,20 +216,21 @@ def dense_eigs(m: np.ndarray) -> np.ndarray:
                 cos = 1.0 / hypot(1.0, t)
                 sin = t * cos
                 row_q = rows[q]
-                multiply(cos, row_p, out=cp)
-                multiply(sin, row_q, out=sq)
-                multiply(sin, row_p, out=sp)
-                multiply(cos, row_q, out=cq)
-                subtract(cp, sq, out=row_p)
-                add(sp, cq, out=row_q)
+                c0[()], s0[()] = cos, sin
+                multiply(s0, row_p, out=sp)
+                multiply(c0, row_p, out=row_p)
+                multiply(s0, row_q, out=sq)
+                subtract(row_p, sq, out=row_p)
+                multiply(c0, row_q, out=row_q)
+                add(sp, row_q, out=row_q)
                 # the 2x2 block as a column update followed by a row update
                 cpp, cqp = cos * app - sin * apq, cos * apq - sin * aqq
                 cpq, cqq = sin * app + cos * apq, sin * apq + cos * aqq
                 row_p[p], row_p[q] = cos * cpp - sin * cqp, 0.0
                 row_q[p], row_q[q] = 0.0, sin * cpq + cos * cqq
-                cols[q][:] = row_q
+                copyto(cols[q], row_q)
             if p_rotated:
-                cols[p][:] = row_p
+                copyto(cols[p], row_p)
                 rotated = True
         if not rotated:
             break  # an idle sweep changed nothing, so no later sweep would

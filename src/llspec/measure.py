@@ -24,13 +24,12 @@ of the colliding polynomials:
     4 - mu shared with the pencil factor (4 - lam - mu); the factor carries
     no limiting mass, so the atom keeps 2^-(k+1).
 
-The three classes are labelled B1/B2/B3 throughout the API.  Membership is
-decided exactly for the structured forms and for every rational, whose only
-B1 and B2 members are 0 and +-1: a rational cosine of a rational angle is
-0, +-1/2 or +-1 (Niven), and a rational ratio of sines of rational angles
-is +-1, +-2 or +-1/2 (Conway & Jones).  A float is the rational its double
-stores, and is decided as that rational.  Only the B2 membership of a B1Mu
-whose value is irrational rests on a bounded scan, flagged as heuristic.
+The three classes are labelled B1/B2/B3 throughout the API.  B2 lies inside
+B1 (its atom at lam = mu recurs with n0 = 1), so `classify_mu` decides B1 and
+B3 only, both exactly.  B1Mu and B2Mu are in B1 by construction.  A rational
+is in B1 only at 0 and +-1, since a rational ratio of sines of rational
+angles is +-1, +-2 or +-1/2 (Conway & Jones), and in B3 at 1 + 1/k.  A float
+is the rational its double stores, and is decided as that rational.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chebyshev import u_eval
 from .errors import DomainError
 from .jacobi import band_edge_index
 
@@ -219,11 +217,8 @@ def format_mu(mu: MuParam) -> str:
 @dataclass(frozen=True)
 class MuClassification:
     in_b1: bool
-    in_b2: bool
     in_b3: bool
-    heuristic: bool
     b1_witness: tuple[int, int, int] | None  # (p, q, n0): atom angle p pi/q, first index n0
-    b2_witness: int | None  # minimal k with U_k(-mu/2) = 0
     b3_witness: int | None  # k with mu = 1 + 1/k
 
 
@@ -239,63 +234,38 @@ def coalesce_tol(mu: float) -> float:
     return tol
 
 
-# exact rational members of B1/B2 with their witnesses.  A rational mu in B1
+# exact rational members of B1 with their witnesses.  A rational mu in B1
 # other than 0 makes -mu = sin((n+1) t) / sin(n t), t = p pi/q, a rational
 # ratio of sines of rational multiples of pi: +-1, or +-2 and +-1/2 with sines
 # of size 1 and 1/2 (Conway & Jones, Acta Arith. 30, 1976).  +-1 gives
 # mu = +-1; the others need t = +-pi/3 mod pi, where sin(n t) is 0 or
-# +-sqrt(3)/2, so they never occur.  A rational 2 cos(j pi/(k+1)) is 0, +-1
-# or +-2 (Niven), and +-2 is not a zero of U_k(./2).
+# +-sqrt(3)/2, so they never occur.
 _RATIONAL_B1 = {Fraction(0): (1, 2, 1), Fraction(1): (2, 3, 1), Fraction(-1): (1, 3, 1)}
-_RATIONAL_B2 = {Fraction(0): 1, Fraction(1): 2, Fraction(-1): 2}
-
-
-# the bounded scan behind the one heuristic answer: indices 1.._SCAN_DEPTH, and
-# how close to 0 U_k(-mu/2) must come
-_SCAN_DEPTH = 20
-_SCAN_TOL = 1e-9
-
-
-def _b2_scan(x: float) -> int | None:
-    """Least k <= _SCAN_DEPTH with U_k(-x/2) within _SCAN_TOL of 0, or None."""
-    return next((k for k in range(1, _SCAN_DEPTH + 1) if abs(u_eval(k, -x / 2.0)) < _SCAN_TOL),
-                None)
 
 
 def classify_mu(mu: MuParam) -> MuClassification:
-    """Decide B1/B2/B3 membership with witnesses.
+    """Decide B1 and B3 membership with witnesses, exactly.
 
-    Each form is decided by one rule.  B1Mu and B2Mu are members by
-    construction.  A rational, and a float as the exact rational its double
-    stores, is decided exactly: its B1/B2 memberships are the tables above and
-    B3 is mu = 1 + 1/k.  Only the B2 membership of a B1Mu with an irrational
-    value is left open by its construction; a bounded U_k scan answers it,
-    and the heuristic flag is set exactly then.
+    Each form is decided by one rule.  B1Mu and B2Mu are in B1 by
+    construction, and never in B3.  A rational, and a float as the exact
+    rational its double stores, is in B1 by the table above and in B3 when
+    mu = 1 + 1/k.
     """
-    b1 = b2 = b3 = None
-    heuristic = False
+    b1 = b3 = None
     if isinstance(mu, B2Mu):
         # 2cos(j pi/(k+1)) is rational only at 0 and +-1, so never 1 + 1/k; the
         # atom at lam = mu recurs: angle pi - j pi/(k+1), first index 1
         d = math.gcd(mu.j, mu.k + 1)
-        b1, b2 = ((mu.k + 1 - mu.j) // d, (mu.k + 1) // d, 1), (mu.k + 1) // d - 1
+        b1 = ((mu.k + 1 - mu.j) // d, (mu.k + 1) // d, 1)
     elif isinstance(mu, B1Mu):
         # B1 holds no 1 + 1/k (the rational members are 0 and +-1)
         b1 = (mu.p, mu.q, (mu.n - 1) % mu.q + 1)
-        if (mu.n - 1) % mu.q == 0:
-            # the value collapses to -2cos(p pi/q), whose lam = mu atom
-            # recurs with step q; minimal Chebyshev index is q - 1
-            b2 = mu.q - 1
-        elif (rational := _b1_rational(mu)) is not None:
-            b2 = _RATIONAL_B2[rational]
-        else:
-            b2, heuristic = _b2_scan(mu_value(mu)), True
     else:
         # a float is the rational its double stores; mu_value refuses a non-form
         frac = mu_exact(mu)
-        b1, b2 = _RATIONAL_B1.get(frac), _RATIONAL_B2.get(frac)
+        b1 = _RATIONAL_B1.get(frac)
         b3 = band_edge_index(frac) if frac > 0 else None
-    return MuClassification(b1 is not None, b2 is not None, b3 is not None, heuristic, b1, b2, b3)
+    return MuClassification(b1 is not None, b3 is not None, b1, b3)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +329,14 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     """Depth-K truncation of the spectral measure with exact rational masses.
 
     Collects the zeros of G_1..G_K with mass 2^-(k+1) each.  `classify_mu`
-    alone decides whether zeros can collide: outside B1 and B2 (every
-    rational but 0 and +-1) no two of them do, and each is an atom of its
-    own.  At a B1 or B2 parameter, in-band neighbours within `coalesce_tol`
-    merge: in-band collisions are exact algebraic coincidences, so a
-    tolerance well above eigenvalue accuracy and well below the zero spacing
-    draws the same groups there.  Out-of-band zeros move strictly with k and
-    never merge, however close they come to the accumulation point.
+    alone decides whether zeros can collide: outside B1 (every rational but
+    0 and +-1) no two of them do, and each is an atom of its own.  At a B1
+    parameter, which every B2 parameter is, in-band neighbours within
+    `coalesce_tol` merge: in-band collisions are exact algebraic
+    coincidences, so a tolerance well above eigenvalue accuracy and well
+    below the zero spacing draws the same groups there.  Out-of-band zeros
+    move strictly with k and never merge, however close they come to the
+    accumulation point.
 
     The atom holding index 1 (G_1 = mu - lam) is delta_mu, or B2_merged when
     it collected more; a B3 parameter's atom at 4 - mu is B3_endpoint.  At
@@ -378,12 +349,11 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     x = mu_value(mu)
     tol = coalesce_tol(x)
     cls = classify_mu(mu)
-    merge = cls.in_b1 or cls.in_b2
     groups: list[list[tuple[float, int]]] = []
     for z, k in sorted((float(z), k) for k in range(1, depth + 1) for z in g_zeros(k, x)):
         prev = groups[-1][-1][0] if groups else -math.inf
         # prev <= z: both lie in the band [-4 - mu, 4 - mu] when these bounds hold
-        if merge and z - prev <= tol and -4.0 - x <= prev and z <= 4.0 - x:
+        if cls.in_b1 and z - prev <= tol and -4.0 - x <= prev and z <= 4.0 - x:
             groups[-1].append((z, k))
         else:
             groups.append([(z, k)])

@@ -346,6 +346,11 @@ _COMMANDS = {
     "ns": ("ns", "--mu", "float:2", "--depth", "12", "--check"),
     "dos-breach": ("dos", "--mu", "float:0.3", "--sites", "5000", "--seed", "7", "--depth", "10",
                    "--check", "--tol", "1e-9"),
+    # exceptional parameters, where zeros of distinct G_k merge into one atom
+    "measure-b2": ("measure", "--mu", "b2:1/4", "--depth", "12", "--check"),
+    "measure-b1": ("measure", "--mu", "b1:1/22:7", "--depth", "24", "--check"),
+    "multiplicity-b2": ("multiplicity", "--level", "5", "--mu", "b2:1/3", "--grid", "2,0,-1",
+                        "--check"),
 }
 
 # exit code and SHA-256 of stdout, taken before the handlers returned their
@@ -371,6 +376,12 @@ _COMMAND_DIGESTS = {
     ("ns", "json"): (0, "29d5390f4f99182eea0591e3b9bb9598ffcb54be2c83b7ddb1a029202b5fbaa9"),
     ("dos-breach", "csv"): (3, "dfc3c3c486b83841ef4269b99a19bf5412b17213616f0ebadd6fa6c9170dafde"),
     ("dos-breach", "json"): (3, "d502e22bd852122654120d500b5370d64ecb1e76618754150cd9ae9f03a6966a"),
+    ("measure-b2", "csv"): (0, "684586e97cd2c4f391736f7cc24cd684188dc672872d35fa7f29ff3a5ae940b4"),
+    ("measure-b2", "json"): (0, "9873db8d3a32319895e09c37c610ac12da713528c8c8dc1c322033a1eb2a2f3a"),
+    ("measure-b1", "csv"): (0, "4820250fecb2b194c983cd8f1d1541db505bb96ee4e927e82b693408b721c28d"),
+    ("measure-b1", "json"): (0, "3c8c319dee588f013ce9e7067d5eafa50da542546f9a17f27bef46cefef82255"),
+    ("multiplicity-b2", "csv"): (0, "13833a99ab365b18faf2997f7042ff0a4090fbcb6ad16a43429bfa09a4c3c34e"),
+    ("multiplicity-b2", "json"): (0, "95e83998984466e50269fc506579053f837450f371272109799cac12f31a7a2d"),
 }
 
 

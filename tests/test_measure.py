@@ -143,48 +143,49 @@ def test_b1_value_matches_cotangent_form():
 
 def test_classify_exceptional_rationals():
     c76 = classify_mu(RationalMu(7, 6))
-    assert c76.in_b3 and c76.b3_witness == 6 and not c76.in_b2
+    assert c76.in_b3 and c76.b3_witness == 6
 
     c0 = classify_mu(RationalMu(0, 1))
-    assert c0.in_b1 and c0.b1_witness == (1, 2, 1) and not c0.heuristic
-    assert c0.in_b2 and c0.b2_witness == 1 and not c0.in_b3
+    assert c0.in_b1 and c0.b1_witness == (1, 2, 1)
+    assert not c0.in_b3
 
     c1 = classify_mu(RationalMu(1, 1))
-    assert c1.in_b2 and c1.b2_witness == 2 and c1.in_b1 and not c1.in_b3
+    assert c1.in_b1 and not c1.in_b3
 
     c32 = classify_mu(RationalMu(3, 2))
-    assert c32.in_b3 and c32.b3_witness == 2 and not c32.in_b2
+    assert c32.in_b3 and c32.b3_witness == 2
 
     c2 = classify_mu(RationalMu(2, 1))
-    assert c2.in_b3 and c2.b3_witness == 1 and not c2.in_b2
+    assert c2.in_b3 and c2.b3_witness == 1
 
 
 def test_classify_structured_forms():
     cb2 = classify_mu(B2Mu(1, 2))
-    assert cb2.in_b2 and cb2.b2_witness == 2 and not cb2.in_b3 and not cb2.heuristic
-    # the atom at lam = mu recurs, so the in-band collision flag is set too
+    assert not cb2.in_b3
+    # the atom at lam = mu recurs, so the in-band collision flag is set
     assert cb2.in_b1 and cb2.b1_witness == (2, 3, 1)
 
     # non-minimal angle reduces: 2 cos(2 pi / 6) = 2 cos(pi / 3)
-    assert classify_mu(B2Mu(2, 5)).b2_witness == 2
+    assert classify_mu(B2Mu(2, 5)).b1_witness == (2, 3, 1)
 
     cb1 = classify_mu(B1Mu(1, 4, 6))
     assert cb1.in_b1 and cb1.b1_witness == (1, 4, 2)  # first index 6 mod 4
+    assert not cb1.in_b3
 
 
 def test_classify_floats_are_exact():
     cf = classify_mu(FloatMu(0.3))
-    assert not (cf.in_b1 or cf.in_b2 or cf.in_b3 or cf.heuristic)
+    assert not (cf.in_b1 or cf.in_b3)
     # the double nearest 1.2 is not 6/5, so not 1 + 1/5; 1.25 is 1 + 1/4
     assert not classify_mu(FloatMu(1.2)).in_b3
     c125 = classify_mu(FloatMu(1.25))
-    assert c125.in_b3 and c125.b3_witness == 4 and not c125.heuristic
+    assert c125.in_b3 and c125.b3_witness == 4
     c1f = classify_mu(FloatMu(1.0))
-    assert c1f.in_b2 and c1f.b2_witness == 2 and c1f.in_b1 and not c1f.heuristic
+    assert c1f.in_b1
     # 1.0 + 4e-16 rounds to 1 + 2^-51, which is 1 + 1/k exactly
     assert classify_mu(FloatMu(1.0 + 4e-16)).b3_witness == 2 ** 51
     # the double nearest an irrational member is not that member
-    assert not classify_mu(FloatMu(mu_value(B2Mu(1, 4)))).in_b2
+    assert not classify_mu(FloatMu(mu_value(B2Mu(1, 4)))).in_b1
     assert not classify_mu(FloatMu(mu_value(B1Mu(1, 4, 2)))).in_b1
 
 
@@ -206,7 +207,7 @@ def test_b1_values_near_small_fractions_are_zero_or_plus_minus_one():
 
 
 def _memberships(c):
-    return c.in_b1, c.in_b2, c.in_b3, c.b1_witness, c.b2_witness, c.b3_witness
+    return c.in_b1, c.in_b3, c.b1_witness, c.b3_witness
 
 
 def test_rationals_are_exact_and_agree_with_their_floats():
@@ -218,13 +219,12 @@ def test_rationals_are_exact_and_agree_with_their_floats():
             if math.gcd(p, q) != 1:
                 continue
             exact = classify_mu(RationalMu(p, q))
-            assert not exact.heuristic, (p, q)
             c = classify_mu(FloatMu(p / q))
             if Fraction(p / q) == Fraction(p, q):
                 assert c == exact, (p, q)
                 stored += 1
             else:
-                assert _memberships(c) == (False, False, False, None, None, None), (p, q)
+                assert _memberships(c) == (False, False, None, None), (p, q)
             cases += 1
     assert (cases, stored) == (7821, 1121)  # stored: q a power of two up to 32
 
@@ -233,7 +233,7 @@ def test_rationals_are_exact_and_agree_with_their_floats():
 def test_large_floats_are_not_b1(x):
     # integers other than 0 and +-1, so exactly outside B1
     c = classify_mu(FloatMu(x))
-    assert not c.in_b1 and c.b1_witness is None and not c.heuristic
+    assert not c.in_b1 and c.b1_witness is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,18 +249,6 @@ def test_large_floats_are_not_b1(x):
 def test_a_float_is_classified_as_the_rational_it_stores(x):
     c = classify_mu(FloatMu(x))
     assert c == classify_mu(RationalMu(*x.as_integer_ratio()))
-    assert not c.heuristic
-
-
-def test_heuristic_flag_is_set_exactly_when_a_scan_runs():
-    assert not classify_mu(B2Mu(1, 4)).heuristic
-    assert not classify_mu(B1Mu(1, 4, 5)).heuristic  # n = 1 mod q: B2 by construction
-    b1 = classify_mu(B1Mu(1, 4, 6))  # B2 membership needs the U_k scan
-    assert b1.heuristic and not b1.in_b3
-    # a rational B1 value (q | 2n + 1 here) takes its B2 witness from the table
-    b1_one = classify_mu(B1Mu(1, 5, 2))
-    assert b1_one.b2_witness == 2 and not b1_one.heuristic
-    assert not classify_mu(FloatMu(7.0)).heuristic
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +395,22 @@ def test_b2_parameter_merges_in_band_only():
     assert all(len(a.indices) == 1 and a.kind == "generic" for a in outside)
     assert any(len(a.indices) > 1 for a in m.atoms)
     assert m.total_mass() == 1
+
+
+def test_b2_atom_at_mu_holds_the_index_progression():
+    # mu = 2 cos(j pi/(k+1)) with j/(k+1) = j'/m in lowest terms is a zero of
+    # U_k'(-mu/2), k' = m - 1, so the atom at lam = mu holds G_1, G_{k'+2},
+    # G_{2k'+3}, ...; at depth 2k' + 4 those are the first three
+    for k in range(1, 15):
+        for j in range(1, k + 1):
+            kk = (k + 1) // math.gcd(j, k + 1) - 1
+            m = measure_truncation(B2Mu(j, k), 2 * kk + 4)
+            (atom,) = m.atoms_at(mu_value(m.mu))
+            assert atom.indices == (1, kk + 2, 2 * kk + 3), (j, k)
+    # an irrational B1 value that is also in B2: -2 cos(7 pi/22), a zero of U_21(-mu/2)
+    m = measure_truncation(B1Mu(1, 22, 7), 47)
+    (atom,) = m.atoms_at(mu_value(m.mu))
+    assert atom.indices == (1, 23, 45)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_refused_arguments_load_no_optional_module():
 
 @pytest.mark.parametrize("mu", ["RationalMu(7, 6)", "FloatMu(0.3)"])
 def test_classification_loads_no_optional_module(mu):
-    # rationals are decided from tables, floats by scans in plain Python
+    # rationals are decided from tables, floats as the rational they store, in plain Python
     code = f"from llspec.measure import FloatMu, RationalMu, classify_mu\nclassify_mu({mu})"
     assert _loaded_after(code) == []
 
