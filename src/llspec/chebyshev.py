@@ -2,21 +2,21 @@
 
 Everything downstream (level polynomials, Jacobi truncations, spectral
 measures) reduces to evaluations and zeros of U_n, so this module is kept
-small and heavily cross-checked.  The primary evaluator is the forward
+small and heavily cross-checked.  The one evaluator is the forward
 recurrence
 
     U_0(x) = 1,  U_1(x) = 2x,  U_{n+1}(x) = 2x U_n(x) - U_{n-1}(x),
 
-which is exact at integer arguments and uniformly accurate on [-1, 1].  The
-trigonometric form U_n(cos t) = sin((n+1)t)/sin(t) is kept in the test suite
-as an independent oracle; it is singular where sin(t) = 0 and therefore not
-used as the primary path.
+in doubles, rescaled so that it never overflows (`u_pair_scaled`); it is
+uniformly accurate on [-1, 1].  The test suite keeps two independent
+oracles: the same recurrence in exact rationals, and the trigonometric form
+U_n(cos t) = sin((n+1)t)/sin(t), which is singular where sin(t) = 0 and
+therefore not used as the primary path.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -52,20 +52,8 @@ def _ldexp_safe(m: float, e: int) -> float:
         return math.inf if m > 0 else -math.inf
 
 
-def u_eval(n: int, x):
-    """Evaluate U_n(x) by forward recurrence.
-
-    Exact (same-type) result for int or Fraction arguments; floats go through
-    a scaled recurrence so that large n and |x| > 1 do not overflow
-    intermediates.
-    """
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        prev, cur = 0, 1  # U_{-1}, U_0
-        for _ in range(n):
-            prev, cur = cur, 2 * x * cur - prev
-        return cur
+def u_eval(n: int, x: float) -> float:
+    """U_n(float(x)) from `u_pair_scaled`, saturating to +-inf where it exceeds a double."""
     _, cur, e = u_pair_scaled(n, float(x))
     return _ldexp_safe(cur, e)
 

@@ -170,7 +170,7 @@ class _Result(NamedTuple):
 
     header: tuple[str, ...]  # of the CSV
     lines: Iterable[str]  # the CSV rows, as whole lines or chunks of whole lines
-    payload: dict  # the JSON
+    payload: dict  # the JSON; its "rows", if any, are the CSV's row tuples
     check_failed: bool = False  # --check was given and its bound failed
 
 
@@ -211,8 +211,7 @@ def _cmd_char_poly(args) -> _Result:
         rows.append((lam, _signlog_float(s_det, l_det), _signlog_float(s_fac, l_fac), rel))
     worst = float(np.max([row[3] for row in rows]))  # a NaN propagates, unlike max()
     header = ("lam", "phi_det", "phi_factorized", "rel_err")
-    payload = {"mu": args.mu, "level": args.level, "max_rel_err": worst,
-               "rows": [dict(zip(header, r)) for r in rows]}
+    payload = {"mu": args.mu, "level": args.level, "max_rel_err": worst, "rows": rows}
     # a sign mismatch is inf, and NaN fails too
     return _Result(header, _csv_rows(rows), payload, args.check and not worst <= args.tol)
 
@@ -259,7 +258,7 @@ def _cmd_zeros(args) -> _Result:
             ok = ok and (abs(value) <= bound * max(1.0, abs(mu)) if in_band else relative <= bound)
             rows.append((k, j, float(z), value, relative))
     header = ("k", "index", "zero", "residual", "residual_relative")
-    payload = {"mu": args.mu, "depth": depth, "rows": [dict(zip(header, r)) for r in rows]}
+    payload = {"mu": args.mu, "depth": depth, "rows": rows}
     return _Result(header, _csv_rows(rows), payload, args.check and not ok)
 
 
@@ -322,7 +321,7 @@ def _cmd_multiplicity(args) -> _Result:
     trunc = measure.measure_truncation(mu, level)
     rows = [(lam, m, int(m > 0)) for lam in grid for m in [measure.root_multiplicity(trunc, lam)]]
     header = ("lam", "multiplicity", "is_root")
-    payload = {"mu": args.mu, "level": level, "rows": [dict(zip(header, r)) for r in rows]}
+    payload = {"mu": args.mu, "level": level, "rows": rows}
     failed = False
     if args.check:
         x = measure.mu_value(mu)
@@ -359,7 +358,7 @@ def _cmd_joint_spectrum(args) -> _Result:
                 if outliers != expected and not (expected == 1 and on_edge):
                     ok = False
     header = ("mu", "k", "zero", "inside_strip")
-    payload = {"depth": depth, "rows": [dict(zip(header, r)) for r in rows]}
+    payload = {"depth": depth, "rows": rows}
     return _Result(header, _csv_rows(rows), payload, args.check and not ok)
 
 
@@ -498,7 +497,7 @@ def _cmd_dos(args) -> _Result:
         "theoretical_mid": list(report.theoretical_mid),
     }
     return _Result(("eigenvalue", "cumulative_weight"), _dos_rows(ids), payload,
-                   args.check and report.sup_deviation >= args.tol)
+                   args.check and not report.sup_deviation <= args.tol)
 
 
 def _cmd_ns(args) -> _Result:
@@ -516,7 +515,7 @@ def _cmd_ns(args) -> _Result:
         "decay_rate": rate,
         "closed_form": inv.closed_form,
         "empirical": inv.empirical,
-        "rows": [dict(zip(header, r)) for r in rows],
+        "rows": rows,
         "meta": {
             "effort": [
                 {"m": e.m, "mp_digits": e.digits, "recurrence_passes": e.passes}
@@ -618,15 +617,20 @@ _BLAS_THREAD_VARIABLES = frozenset({"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", 
 
 
 def main(argv=None) -> int:
-    """Run one command, write its result and return the exit code; a ConvergenceError propagates."""
+    """Run one command, write its result and return the exit code; a ConvergenceError propagates.
+
+    Under --format json, the payload's row tuples are written as objects keyed by the header.
+    """
     args = build_parser().parse_args(argv)
     try:
         with _open_out(args.out) as stream:
             result = args.func(args)
             if args.format == "json":
+                rows = [dict(zip(result.header, r)) for r in result.payload.get("rows", ())]
+                payload = {**result.payload, "rows": rows} if rows else result.payload
                 # in blocks of encoder chunks: with indent, json.dumps holds every chunk
                 # before it joins them, and json.dump's write per chunk doubles the CPU
-                chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(result.payload)
+                chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
                 while block := "".join(itertools.islice(chunks, 4096)):
                     stream.write(block)
                 stream.write("\n")

@@ -57,21 +57,15 @@ class TridiagonalMatrix:
 
 @dataclass(frozen=True)
 class SpectrumDescription:
-    """Band plus (for |mu| > 1) one isolated point and its measure atom."""
+    """Band plus (for |mu| > 1) one isolated point and its measure atom.
+
+    Both constructors put the point outside the band by algebra: (|mu| - 1)^2 / |mu|
+    past the J* band and twice that past the pencil's.
+    """
 
     band: tuple[float, float]
     isolated: float | None
     mass_at_isolated: float
-
-    def __post_init__(self):
-        if self.isolated is not None:
-            lo, hi = self.band
-            # the point touches the band as |mu| -> 1, so float dust may
-            # land it on the endpoint; only a genuinely interior point is
-            # a construction error
-            margin = 1e-9 * max(1.0, abs(lo), abs(hi))
-            if lo + margin < self.isolated < hi - margin:
-                raise DomainError("isolated point must lie outside the band")
 
 
 def jstar_truncation(mu: float, n: int) -> TridiagonalMatrix:

@@ -402,12 +402,11 @@ def measure_cdf_mids(measure: AtomicMeasure, xs) -> list[float]:
     """Midpoints of the exact bounds [lo, lo + tail_mass] on N(x) at the points xs.
 
     lo is the mass of the atoms at or below x; the tail could sit anywhere.
-    The atoms are sorted once and summed as they come, so each point costs
-    one bisection, not a sum over every atom.
+    The atoms, ascending already, are summed as they come, so each point
+    costs one bisection, not a sum over every atom.
     """
-    atoms = sorted(measure.atoms, key=lambda a: a.position)
-    positions = [a.position for a in atoms]
-    below = list(itertools.accumulate((a.mass for a in atoms), initial=Fraction(0)))
+    positions = [a.position for a in measure.atoms]
+    below = list(itertools.accumulate((a.mass for a in measure.atoms), initial=Fraction(0)))
     return [float(2 * below[bisect.bisect_right(positions, x)] + measure.tail_mass) / 2.0
             for x in xs]
 

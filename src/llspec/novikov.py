@@ -70,7 +70,6 @@ class GapEntry:
 @dataclass(frozen=True)
 class GapSequence:
     mu: float
-    target: float  # mu + 2/mu
     entries: tuple[GapEntry, ...]
 
 
@@ -208,7 +207,7 @@ def gap_sequence(mu, M: int) -> GapSequence:
     entries = tuple(_outlier_zero_mp(abs(mu), m) for m in range(start, M + 1))
     if muf < 0.0:  # G_k(-lam, -mu) = (-1)^k G_k(lam, mu) mirrors each zero
         entries = tuple(replace(e, x_m=-e.x_m) for e in entries)
-    return GapSequence(mu=muf, target=muf + 2.0 / muf, entries=entries)
+    return GapSequence(mu=muf, entries=entries)
 
 
 def _tail_window(entries):

@@ -256,6 +256,14 @@ def test_line_walk_errors_match_one_window(sites, message):
         empirical_ids([build_jacobi_sample(sample_window(7, 0, sites), 0.0)])
 
 
+def test_samples_at_two_parameter_values_are_refused():
+    # one pooled spectrum has one mu: a second value is refused, whichever sample carries it
+    one, other = _sample_from_bits([1, 0, 1, 1], 2.0), _sample_from_bits([1, 0, 1, 1], 2.5)
+    for samples in ([one, other], [other, one, one]):
+        with pytest.raises(DomainError, match="all samples must share one parameter value"):
+            empirical_ids(samples)
+
+
 def test_pairs_are_distinct_bit_patterns_with_positive_zero_first():
     counts = anderson._BlockCounts(0.0)
     counts.copies[1] = {np.float64(-0.0).tobytes(): 2, np.float64(0.0).tobytes(): 3,

@@ -166,3 +166,35 @@ def test_every_public_function_has_a_caller():
                 unreached.append(f"{module}:{node.name}")
     assert unreached == []
     assert ORACLES <= defined
+
+
+# record fields nothing reads yet, kept for a reader that is on the way: the
+# exact grouping of coinciding atoms and the JSON `meta` of `measure` will read
+# both witnesses (ROADMAP items 3 and 6)
+KEPT_FIELDS = {"b1_witness", "b3_witness"}
+
+
+def _attributes_read(tree) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read():
+    # a field is kept only for a reader: the package itself, an acceptance
+    # criterion, or the kept set; one that is only ever written is dead weight
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((SRC / "llspec").glob("*.py"))}
+    read = set().union(*map(_attributes_read, trees.values()))
+    read |= _attributes_read(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    fields, unread = set(), []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    fields.add(node.target.id)
+                    if node.target.id not in read | KEPT_FIELDS:
+                        unread.append(f"{module}:{cls.name}.{node.target.id}")
+    assert unread == []
+    assert KEPT_FIELDS <= fields

@@ -61,12 +61,22 @@ def test_ratio_limit_matches_recurrence():
     assert abs(ratio - (2.0 - math.sqrt(3.0))) < 1e-10
 
 
+def _u_exact(n: int, x: Fraction) -> Fraction:
+    """U_n(x) by the forward recurrence in exact rationals: the oracle of the float one."""
+    prev, cur = Fraction(0), Fraction(1)  # U_{-1}, U_0
+    for _ in range(n):
+        prev, cur = cur, 2 * x * cur - prev
+    return cur
+
+
 @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(2), Fraction(-5, 4)])
 def test_ratio_geometric_convergence_exact(x):
     # the convergence bound is far below double noise, so the ratio is formed
     # in exact rational arithmetic and compared against a 60-digit limit
     n = 50
-    ratio = Fraction(u_eval(n - 1, x), u_eval(n, x))
+    ratio = _u_exact(n - 1, x) / _u_exact(n, x)
+    # the float recurrence agrees with the exact one to rounding
+    assert u_eval(n, x) == pytest.approx(float(_u_exact(n, x)), rel=1e-12)
     with mp.workdps(60):
         xf = mp.mpf(x.numerator) / x.denominator
         limit = 1 / (xf + mp.sign(xf) * mp.sqrt(xf * xf - 1))

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -260,6 +261,16 @@ def test_dos_report_and_check(capsys):
     payload = json.loads(out)
     assert payload["sup_deviation"] < 0.02
     assert len(payload["checkpoints"]) == 50
+
+
+def test_dos_check_passes_at_its_own_deviation(capsys):
+    # like every other bound, a deviation equal to --tol meets it
+    argv = ["dos", "--mu", "float:0.3", "--sites", "100000", "--seed", "7", "--format", "json"]
+    _, out, _ = _run(capsys, *argv)
+    deviation = json.loads(out)["sup_deviation"]
+    assert _run(capsys, *argv, "--check", "--tol", repr(deviation))[0] == EXIT_OK
+    below = repr(math.nextafter(deviation, 0.0))
+    assert _run(capsys, *argv, "--check", "--tol", below)[0] == EXIT_CHECK
 
 
 def test_dos_check_breach_exit(capsys):
@@ -608,6 +619,22 @@ def test_json_output_takes_no_more_memory_than_csv():
     csv_peak = _peak_rss_mb(argv)
     json_peak = _peak_rss_mb([*argv, "--format", "json"])
     assert json_peak <= 1.1 * csv_peak, (json_peak, csv_peak)
+
+
+def test_csv_builds_no_json_row_objects(tmp_path):
+    # handlers pass row tuples; only --format json makes an object of each,
+    # so CSV holds about a third of the memory (10.4 against 28.9 MB when measured)
+    argv = ["multiplicity", "--level", "6", "--mu", "rat:2/1", "--grid=-6:6:100000"]
+    assert main([*argv[:-1], "--grid=-6:6:3", "--out", str(tmp_path / "warm")]) == EXIT_OK
+    peaks = {}
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == EXIT_OK
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["csv"] < 0.75 * peaks["json"], peaks
 
 
 def test_ns_large_mu_is_certified_or_refused(capsys):

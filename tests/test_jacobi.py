@@ -16,7 +16,6 @@ from llspec.errors import DomainError
 from llspec.ghpolys import g_zeros
 from llspec.measure import FloatMu, RationalMu, classify_mu
 from llspec.jacobi import (
-    SpectrumDescription,
     TridiagonalMatrix,
     ac_density,
     band_edge_index,
@@ -284,8 +283,10 @@ def test_spectrum_descriptions():
     assert sm2.band == (-2.0, 6.0) and sm2.isolated == pytest.approx(-3.0)
     j2 = jstar_spectrum(2.0)
     assert j2.isolated == pytest.approx(-1.5) and j2.mass_at_isolated == pytest.approx(0.75)
-    with pytest.raises(DomainError):
-        SpectrumDescription(band=(0.0, 1.0), isolated=0.5, mass_at_isolated=0.1)
+    # the point lies outside the band by algebra, with no guard to meet
+    for mu in (1.01, 1.5, 2.0, -1.01, -3.0, 1e6):
+        for s in (pencil_spectrum(mu), jstar_spectrum(mu)):
+            assert not s.band[0] < s.isolated < s.band[1]
 
 
 @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])

@@ -30,7 +30,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         ns_invariant(0.5)
     with pytest.raises(InsufficientDataError):
-        decay_rate(GapSequence(mu=2.0, target=3.0, entries=tuple()))
+        decay_rate(GapSequence(mu=2.0, entries=tuple()))
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
@@ -55,7 +55,7 @@ def test_negative_mu_mirrors_through_the_level_polynomials():
     # the mirrored x_m are the smallest zeros of G_m at mu itself, found by
     # the tridiagonal eigensolver with no mirror involved
     seq = gap_sequence(Fraction(-3, 2), 14)
-    assert seq.mu == -1.5 and seq.target == -1.5 + 2.0 / -1.5
+    assert seq.mu == -1.5
     assert [e.m for e in seq.entries] == list(range(2, 15))
     for e in seq.entries:
         assert abs(float(g_zeros(e.m, -1.5).min()) - e.x_m) < 1e-14
@@ -124,7 +124,7 @@ def test_synthetic_regression_identity():
         GapEntry(m=m, x_m=0.0, gap=0.37 ** m, log2_gap=m * math.log2(0.37))
         for m in range(1, 31)
     )
-    seq = GapSequence(mu=2.0, target=3.0, entries=entries)
+    seq = GapSequence(mu=2.0, entries=entries)
     assert decay_rate(seq) == pytest.approx(0.37, rel=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_exact_quarter_gaps_give_slope_minus_two_ln2():
     entries = tuple(
         GapEntry(m=m, x_m=0.0, gap=2.0 ** (-2 * m), log2_gap=-2.0 * m) for m in range(1, 61)
     )
-    seq = GapSequence(mu=2.0, target=3.0, entries=entries)
+    seq = GapSequence(mu=2.0, entries=entries)
     assert decay_rate(seq) == 0.25
     assert math.log(decay_rate(seq)) == -2.0 * math.log(2.0)
     assert ns_invariant(2.0, seq=seq).empirical == 0.5
