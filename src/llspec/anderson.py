@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import DomainError
-from .jacobi import TridiagonalMatrix, tridiag_eigs_batch
+from .jacobi import TridiagonalMatrix, _finite, tridiag_eigs_batch
 from .measure import AtomicMeasure, coalesce_tol, measure_cdf_mids, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
@@ -107,15 +107,20 @@ def sample_window(seed: int, offset: int, length: int) -> np.ndarray:
 def build_jacobi_sample(bits: np.ndarray, mu: float) -> JacobiSample:
     """Assemble diagonal and bond weights from a window's site bits.
 
-    `bits` is an array of 0s and 1s, one per site, as `sample_window` returns.
+    `bits` is an array of 0s and 1s, one per site, as `sample_window` returns;
+    any other bit, or a non-finite mu, is refused.
     Bond (n, n+1) is indexed by its left endpoint n and carries
     1 + (-1)^(bit_n); the diagonal at n is mu * (-1)^(bit_n + 1).
     """
+    bits = np.asarray(bits)
     if len(bits) < 2:
         raise DomainError("need at least two sites")
-    diag = float(mu) * np.where(bits == 1, 1.0, -1.0)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise DomainError("site bits must be 0 or 1")
+    mu = _finite(mu)
+    diag = mu * np.where(bits == 1, 1.0, -1.0)
     offdiag = np.where(bits[:-1] == 0, 2.0, 0.0)
-    return JacobiSample(diag=diag, offdiag=offdiag, mu=float(mu))
+    return JacobiSample(diag=diag, offdiag=offdiag, mu=mu)
 
 
 def _block_bounds(sample: JacobiSample) -> tuple[np.ndarray, np.ndarray]:

@@ -47,8 +47,8 @@ class TridiagonalMatrix:
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
         if self.diag.ndim != 1 or self.offdiag.ndim != 1:
             raise DomainError("diag and offdiag must be one-dimensional")
-        if len(self.offdiag) != max(len(self.diag) - 1, 0):
-            raise DomainError("offdiag must have length len(diag) - 1")
+        if len(self.diag) == 0 or len(self.offdiag) != len(self.diag) - 1:
+            raise DomainError("diag must be non-empty and offdiag of length len(diag) - 1")
 
     @property
     def n(self) -> int:
@@ -94,6 +94,8 @@ def tridiag_eigs_batch(diag2d, off2d) -> np.ndarray:
 
     diag2d = np.atleast_2d(np.asarray(diag2d, dtype=float))
     off2d = np.atleast_2d(np.asarray(off2d, dtype=float))
+    if diag2d.ndim != 2 or off2d.shape != (len(diag2d), diag2d.shape[1] - 1):
+        raise DomainError(f"offdiag rows {off2d.shape} do not fit diag rows {diag2d.shape}")
     if not (np.isfinite(diag2d).all() and np.isfinite(off2d).all()):
         raise DomainError("tridiagonal entries must be finite")
     b, s = diag2d.shape
@@ -118,7 +120,7 @@ def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
     """
     import numpy as np
 
-    x = float(x)
+    x = _finite(x, "x")
     counts = np.empty(t.n, dtype=np.int64)
     d = t.diag[0] - x
     if d == 0.0:

@@ -216,8 +216,7 @@ def format_mu(mu: MuParam) -> str:
 
 @dataclass(frozen=True)
 class MuClassification:
-    in_b1: bool
-    in_b3: bool
+    # a parameter is in B1 (B3) exactly when its witness is not None
     b1_witness: tuple[int, int, int] | None  # (p, q, n0): atom angle p pi/q, first index n0
     b3_witness: int | None  # k with mu = 1 + 1/k
 
@@ -265,7 +264,7 @@ def classify_mu(mu: MuParam) -> MuClassification:
         frac = mu_exact(mu)
         b1 = _RATIONAL_B1.get(frac)
         b3 = band_edge_index(frac) if frac > 0 else None
-    return MuClassification(b1 is not None, b3 is not None, b1, b3)
+    return MuClassification(b1, b3)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,7 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     for z, k in sorted((float(z), k) for k in range(1, depth + 1) for z in g_zeros(k, x)):
         prev = groups[-1][-1][0] if groups else -math.inf
         # prev <= z: both lie in the band [-4 - mu, 4 - mu] when these bounds hold
-        if cls.in_b1 and z - prev <= tol and -4.0 - x <= prev and z <= 4.0 - x:
+        if cls.b1_witness is not None and z - prev <= tol and -4.0 - x <= prev and z <= 4.0 - x:
             groups[-1].append((z, k))
         else:
             groups.append([(z, k)])
@@ -364,7 +363,7 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
         mass = sum((Fraction(1, 2 ** (k + 1)) for k in ks), Fraction(0))
         if ks[0] == 1:
             kind = "delta_mu" if len(ks) == 1 else "B2_merged"
-        elif cls.in_b3 and abs(pos - (4.0 - x)) <= tol:
+        elif cls.b3_witness is not None and abs(pos - (4.0 - x)) <= tol:
             kind = "B3_endpoint"
         else:
             kind = "B1_merged" if len(ks) > 1 else "generic"

@@ -239,10 +239,15 @@ def ns_invariant(mu, M: int = 60, seq: GapSequence | None = None) -> NsInvariant
     accumulated mass exponent log(2^-m) on the interval-length exponent
     log(gap_m) over the tail window of a depth-M gap sequence.  A caller that
     already holds `gap_sequence(mu, M)` passes it as `seq` to skip rebuilding;
-    both values are read from the sequence, which refuses every mu it cannot take.
+    both values are read from the sequence, which refuses every mu it cannot take,
+    and a `seq` built for another mu or depth is refused.
     """
+    mu = as_fraction(mu)
     if seq is None:
         seq = gap_sequence(mu, M)
+    built = (seq.mu, seq.entries[-1].m if seq.entries else None)
+    if abs(mu) > _MU_MAX or built != (float(mu), M):  # float(mu) overflows past the cap
+        raise DomainError(f"seq holds mu={built[0]:g} to depth {built[1]}, not this mu or M")
     closed = _LN2 / (2.0 * math.log(abs(seq.mu)))
     window = _tail_window(seq.entries)
     xs = [e.log2_gap * _LN2 for e in window]

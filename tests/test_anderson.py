@@ -256,6 +256,16 @@ def test_line_walk_errors_match_one_window(sites, message):
         empirical_ids([build_jacobi_sample(sample_window(7, 0, sites), 0.0)])
 
 
+@pytest.mark.parametrize("bits, mu, message", [
+    ([1, 0, 2, 1], 0.5, "site bits must be 0 or 1"),  # 2 would be -mu on the diagonal, yet a cut
+    ([1, 0, 1, 1], math.nan, "parameter must be finite"),
+    ([1, 0, 1, 1], math.inf, "parameter must be finite"),
+], ids=["bit-2", "nan-mu", "inf-mu"])
+def test_sample_refuses_a_bit_other_than_zero_or_one_and_a_non_finite_mu(bits, mu, message):
+    with pytest.raises(DomainError, match=message):
+        _sample_from_bits(bits, mu)
+
+
 def test_samples_at_two_parameter_values_are_refused():
     # one pooled spectrum has one mu: a second value is refused, whichever sample carries it
     one, other = _sample_from_bits([1, 0, 1, 1], 2.0), _sample_from_bits([1, 0, 1, 1], 2.5)

@@ -1,5 +1,5 @@
-"""The package's public names, the functions the benchmark traces and the
-environment it reads, pinned on purpose."""
+"""The package's public surface (the names its modules define), the functions
+the benchmark traces and the environment it reads, pinned on purpose."""
 
 import ast
 import importlib
@@ -11,40 +11,27 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import llspec
-from llspec import cli
+from llspec import anderson, cli, lamplighter
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-PUBLIC = [
-    "Atom", "AtomicMeasure", "B1Mu", "B2Mu", "CapacityError", "ConvergenceError",
-    "DomainError", "EmpiricalIDS", "FloatMu", "GapSequence", "InsufficientDataError",
-    "JacobiSample", "LevelRep", "MuParam", "NsInvariant", "RationalMu",
-    "SpectrumDescription", "TridiagonalMatrix",
-    "ac_density", "anderson", "angular_form", "block_decompose", "build_jacobi_sample",
-    "build_level", "chebyshev", "classify_mu", "compare_ids", "critical_index",
-    "decay_rate", "dense_eigs", "empirical_ids", "errors", "format_mu", "g_value",
-    "g_value_recursive", "g_zeros", "gap_sequence", "ghpolys", "isolated_eigenvalue",
-    "isolated_mass", "jacobi", "jstar_spectrum", "jstar_truncation", "lamplighter",
-    "line_ids", "measure", "measure_truncation", "mu_value", "novikov", "ns_invariant",
-    "parse_mu", "pencil_matrix", "pencil_spectrum", "sample_window", "tridiag_eigs",
-    "u_eval", "u_zeros",
-]
 
-
-def test_public_names_are_pinned():
-    # a fresh interpreter, so submodules imported by other tests (llspec.cli) do not show
-    code = "import llspec; print(*sorted(n for n in dir(llspec) if not n.startswith('_')))"
+def test_import_llspec_defines_no_name_and_loads_no_submodule():
+    # each public name is imported from the module that defines it; a fresh
+    # interpreter, so submodules imported by other tests (llspec.cli) do not show
+    code = (
+        "import json, sys, llspec\n"
+        "print(json.dumps([[n for n in vars(llspec) if not n.startswith('_')],\n"
+        "                  [m for m in sys.modules if m.startswith('llspec.')]]))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     ).stdout
-    assert out.split() == sorted(PUBLIC)
-    # `dir` reads the name table, not the submodules, so each name must also resolve
-    assert [name for name in PUBLIC if not hasattr(llspec, name)] == []
+    assert json.loads(out) == [[], []]
     # the level matrix and the disorder window are plain arrays, with no wrapper type
-    assert not hasattr(llspec, "PencilMatrix") and not hasattr(llspec, "DisorderWindow")
+    assert not hasattr(lamplighter, "PencilMatrix") and not hasattr(anderson, "DisorderWindow")
 
 
 def _public_functions(module) -> set[str]:
@@ -168,20 +155,14 @@ def test_every_public_function_has_a_caller():
     assert ORACLES <= defined
 
 
-# record fields nothing reads yet, kept for a reader that is on the way: the
-# exact grouping of coinciding atoms and the JSON `meta` of `measure` will read
-# both witnesses (ROADMAP items 3 and 6)
-KEPT_FIELDS = {"b1_witness", "b3_witness"}
-
-
 def _attributes_read(tree) -> set[str]:
     return {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_record_field_is_read():
-    # a field is kept only for a reader: the package itself, an acceptance
-    # criterion, or the kept set; one that is only ever written is dead weight
+    # a field is kept only for a reader: the package itself or an acceptance
+    # criterion; one that is only ever written is dead weight
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted((SRC / "llspec").glob("*.py"))}
     read = set().union(*map(_attributes_read, trees.values()))
@@ -194,7 +175,7 @@ def test_every_record_field_is_read():
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                     fields.add(node.target.id)
-                    if node.target.id not in read | KEPT_FIELDS:
+                    if node.target.id not in read:
                         unread.append(f"{module}:{cls.name}.{node.target.id}")
     assert unread == []
-    assert KEPT_FIELDS <= fields
+    assert {"b1_witness", "b3_witness"} <= fields  # the scan sees the record fields

@@ -113,6 +113,19 @@ def test_non_finite_entries_rejected():
         tridiag_eigs(TridiagonalMatrix(diag=[0.0, 1.0, 2.0], offdiag=[1.0, math.inf]))
 
 
+@pytest.mark.parametrize("diag, off", [([[1, 2]], [[1, 2, 3]]), ([[1, 2], [3, 4]], [[1.0]])],
+                         ids=["long-off-diagonal", "one-off-diagonal-row-for-two"])
+def test_batch_refuses_mismatched_shapes(diag, off):
+    # numpy would raise a bare ValueError, or spread one row over the batch
+    with pytest.raises(DomainError, match="do not fit diag rows"):
+        tridiag_eigs_batch(diag, off)
+
+
+def test_empty_tridiagonal_is_refused():
+    with pytest.raises(DomainError, match="diag must be non-empty"):
+        TridiagonalMatrix([], [])
+
+
 def test_eig_counts():
     t = jstar_truncation(0.0, 3)  # eigenvalues -sqrt2, 0, sqrt2
     assert leading_counts_below(t, -2.0)[-1] == 0
@@ -272,6 +285,13 @@ def test_closed_forms_refuse_a_non_finite_mu(closed_form, mu):
 def test_density_refuses_a_non_finite_point(x):
     with pytest.raises(DomainError, match="x must be finite"):
         ac_density(x, 0.5)
+
+
+@pytest.mark.parametrize("x", _NON_FINITE)
+def test_sturm_count_refuses_a_non_finite_point(x):
+    # a NaN pivot compares false and would count no eigenvalue at all
+    with pytest.raises(DomainError, match="x must be finite"):
+        leading_counts_below(jstar_truncation(0.5, 3), x)
 
 
 def test_spectrum_descriptions():

@@ -143,50 +143,50 @@ def test_b1_value_matches_cotangent_form():
 
 def test_classify_exceptional_rationals():
     c76 = classify_mu(RationalMu(7, 6))
-    assert c76.in_b3 and c76.b3_witness == 6
+    assert c76.b3_witness == 6
 
     c0 = classify_mu(RationalMu(0, 1))
-    assert c0.in_b1 and c0.b1_witness == (1, 2, 1)
-    assert not c0.in_b3
+    assert c0.b1_witness == (1, 2, 1)
+    assert c0.b3_witness is None
 
     c1 = classify_mu(RationalMu(1, 1))
-    assert c1.in_b1 and not c1.in_b3
+    assert c1.b1_witness is not None and c1.b3_witness is None
 
     c32 = classify_mu(RationalMu(3, 2))
-    assert c32.in_b3 and c32.b3_witness == 2
+    assert c32.b3_witness == 2
 
     c2 = classify_mu(RationalMu(2, 1))
-    assert c2.in_b3 and c2.b3_witness == 1
+    assert c2.b3_witness == 1
 
 
 def test_classify_structured_forms():
     cb2 = classify_mu(B2Mu(1, 2))
-    assert not cb2.in_b3
-    # the atom at lam = mu recurs, so the in-band collision flag is set
-    assert cb2.in_b1 and cb2.b1_witness == (2, 3, 1)
+    assert cb2.b3_witness is None
+    # the atom at lam = mu recurs, so it has a B1 witness
+    assert cb2.b1_witness == (2, 3, 1)
 
     # non-minimal angle reduces: 2 cos(2 pi / 6) = 2 cos(pi / 3)
     assert classify_mu(B2Mu(2, 5)).b1_witness == (2, 3, 1)
 
     cb1 = classify_mu(B1Mu(1, 4, 6))
-    assert cb1.in_b1 and cb1.b1_witness == (1, 4, 2)  # first index 6 mod 4
-    assert not cb1.in_b3
+    assert cb1.b1_witness == (1, 4, 2)  # first index 6 mod 4
+    assert cb1.b3_witness is None
 
 
 def test_classify_floats_are_exact():
     cf = classify_mu(FloatMu(0.3))
-    assert not (cf.in_b1 or cf.in_b3)
+    assert cf.b1_witness is None and cf.b3_witness is None
     # the double nearest 1.2 is not 6/5, so not 1 + 1/5; 1.25 is 1 + 1/4
-    assert not classify_mu(FloatMu(1.2)).in_b3
+    assert classify_mu(FloatMu(1.2)).b3_witness is None
     c125 = classify_mu(FloatMu(1.25))
-    assert c125.in_b3 and c125.b3_witness == 4
+    assert c125.b3_witness == 4
     c1f = classify_mu(FloatMu(1.0))
-    assert c1f.in_b1
+    assert c1f.b1_witness is not None
     # 1.0 + 4e-16 rounds to 1 + 2^-51, which is 1 + 1/k exactly
     assert classify_mu(FloatMu(1.0 + 4e-16)).b3_witness == 2 ** 51
     # the double nearest an irrational member is not that member
-    assert not classify_mu(FloatMu(mu_value(B2Mu(1, 4)))).in_b1
-    assert not classify_mu(FloatMu(mu_value(B1Mu(1, 4, 2)))).in_b1
+    assert classify_mu(FloatMu(mu_value(B2Mu(1, 4)))).b1_witness is None
+    assert classify_mu(FloatMu(mu_value(B1Mu(1, 4, 2)))).b1_witness is None
 
 
 def test_b1_values_near_small_fractions_are_zero_or_plus_minus_one():
@@ -206,10 +206,6 @@ def test_b1_values_near_small_fractions_are_zero_or_plus_minus_one():
     assert near == {Fraction(-1), Fraction(0), Fraction(1)}
 
 
-def _memberships(c):
-    return c.in_b1, c.in_b3, c.b1_witness, c.b3_witness
-
-
 def test_rationals_are_exact_and_agree_with_their_floats():
     # a float agrees with p/q where its double is p/q; elsewhere its double is a
     # dyadic rational other than 0, +-1 and 1 + 1/k, so it is in no class
@@ -224,7 +220,7 @@ def test_rationals_are_exact_and_agree_with_their_floats():
                 assert c == exact, (p, q)
                 stored += 1
             else:
-                assert _memberships(c) == (False, False, None, None), (p, q)
+                assert (c.b1_witness, c.b3_witness) == (None, None), (p, q)
             cases += 1
     assert (cases, stored) == (7821, 1121)  # stored: q a power of two up to 32
 
@@ -233,7 +229,7 @@ def test_rationals_are_exact_and_agree_with_their_floats():
 def test_large_floats_are_not_b1(x):
     # integers other than 0 and +-1, so exactly outside B1
     c = classify_mu(FloatMu(x))
-    assert not c.in_b1 and c.b1_witness is None
+    assert c.b1_witness is None
 
 
 @settings(max_examples=300, deadline=None)

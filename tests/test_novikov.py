@@ -177,6 +177,14 @@ def test_ns_invariant_reuses_a_built_sequence():
     assert ns_invariant(Fraction(5, 2), 20, seq=seq) == ns_invariant(Fraction(5, 2), 20)
 
 
+@pytest.mark.parametrize("mu, depth", [(3.0, 20), (2.0, 21), (10**400, 20)],
+                         ids=["other-mu", "other-depth", "mu-past-the-cap"])
+def test_ns_invariant_refuses_a_sequence_built_for_another_mu_or_depth(mu, depth):
+    # the mu = 2 sequence would answer with the mu = 2 closed form, 0.5
+    with pytest.raises(DomainError, match="seq holds mu=2 to depth 20, not this mu or M"):
+        ns_invariant(mu, depth, seq=gap_sequence(2.0, 20))
+
+
 def test_empirical_exponent_close_to_closed_form():
     inv = ns_invariant(2.5, 40)
     assert abs(inv.empirical / inv.closed_form - 1.0) < 0.05

@@ -1,14 +1,13 @@
 """Start-up footprint: a command imports only the modules it runs.
 
 Every `llspec` command starts a fresh interpreter, where imports are most of
-the cost of the cheap commands.  `llspec` resolves its public names on first
-use, `llspec.cli` imports a layer inside the commands that call it, numpy
-is imported only by the code that computes with arrays, and `mpmath` only
-where multiprecision arithmetic runs.  As a process, every command starts
+the cost of the cheap commands.  `llspec` itself imports no submodule (each
+name is imported from its module), `llspec.cli` imports a layer inside the
+commands that call it, numpy is imported only by the code that computes with
+arrays, and `mpmath` only where multiprecision arithmetic runs.  As a process, every command starts
 OpenBLAS with one thread, which spares it the worker threads' spin-wait.
 """
 
-import importlib
 import os
 import subprocess
 import sys
@@ -90,14 +89,6 @@ def test_classification_loads_no_optional_module(mu):
     # rationals are decided from tables, floats as the rational they store, in plain Python
     code = f"from llspec.measure import FloatMu, RationalMu, classify_mu\nclassify_mu({mu})"
     assert _loaded_after(code) == []
-
-
-def test_public_names_resolve_to_the_submodule_objects():
-    # the table behind dir(llspec), which tests/test_api.py pins name by name
-    for name, module in llspec._SUBMODULE_OF.items():
-        assert getattr(llspec, name) is vars(importlib.import_module(f"llspec.{module}"))[name]
-    for module in llspec._SUBMODULES:
-        assert getattr(llspec, module) is importlib.import_module(f"llspec.{module}")
 
 
 def test_unknown_name_raises_attribute_error():
