@@ -47,16 +47,15 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import os
 import sys
 from typing import Iterable, NamedTuple
 
-# every command parses --mu through measure; numpy and the other layers are
-# imported by the commands that call them, so a command loads only the modules
-# it runs, and `spectrum`, `ns`, --help and argument errors never load numpy
-from . import measure
+# `measure`, numpy and the other layers are imported by the commands that call
+# them, and `json` by `main` under --format json alone, so a command loads only
+# the modules it runs: --help and argument errors load none of them, and
+# `spectrum` and `ns` no numpy
 from .errors import CapacityError, ConvergenceError, DomainError, InsufficientDataError
 
 EXIT_OK = 0
@@ -192,7 +191,7 @@ def _signlog_float(sign: float, logabs: float) -> float:
 def _cmd_char_poly(args) -> _Result:
     import numpy as np
 
-    from . import lamplighter
+    from . import lamplighter, measure
 
     mu = measure.mu_value(measure.parse_mu(args.mu))
     lamplighter._check_level(args.level)  # bounds 8^level below
@@ -217,7 +216,7 @@ def _cmd_char_poly(args) -> _Result:
 
 
 def _cmd_eigs(args) -> _Result:
-    from . import lamplighter
+    from . import lamplighter, measure
 
     param = measure.parse_mu(args.mu)
     mu = measure.mu_value(param)
@@ -242,7 +241,7 @@ def _matches_roots(eigs, roots, bound: float) -> bool:
 
 
 def _cmd_zeros(args) -> _Result:
-    from . import ghpolys
+    from . import ghpolys, measure
 
     depth = _depth(args.depth)
     mu = measure.mu_value(measure.parse_mu(args.mu))
@@ -263,7 +262,7 @@ def _cmd_zeros(args) -> _Result:
 
 
 def _cmd_spectrum(args) -> _Result:
-    from . import jacobi
+    from . import jacobi, measure
 
     mu_param = measure.parse_mu(args.mu)
     mu = measure.mu_value(mu_param)
@@ -291,6 +290,8 @@ def _cmd_spectrum(args) -> _Result:
 
 
 def _cmd_measure(args) -> _Result:
+    from . import measure
+
     depth = _depth(args.depth)
     trunc = measure.measure_truncation(measure.parse_mu(args.mu), depth)
     payload = measure.measure_to_json(trunc)
@@ -309,7 +310,7 @@ def _cmd_measure(args) -> _Result:
 def _cmd_multiplicity(args) -> _Result:
     import numpy as np
 
-    from . import lamplighter
+    from . import lamplighter, measure
 
     level = _depth(args.level, "level")
     mu = measure.parse_mu(args.mu)
@@ -336,7 +337,7 @@ def _cmd_multiplicity(args) -> _Result:
 def _cmd_joint_spectrum(args) -> _Result:
     import numpy as np
 
-    from . import ghpolys, jacobi
+    from . import ghpolys, jacobi, measure
 
     depth = _depth(args.depth)
     rows = []
@@ -473,7 +474,7 @@ def _dos_rows(ids):
 
 
 def _cmd_dos(args) -> _Result:
-    from . import anderson
+    from . import anderson, measure
 
     depth = _depth(args.depth)
     if not 1 <= args.sites <= _SITES_MAX:
@@ -501,7 +502,7 @@ def _cmd_dos(args) -> _Result:
 
 
 def _cmd_ns(args) -> _Result:
-    from . import novikov
+    from . import measure, novikov
 
     mu = measure.mu_exact(measure.parse_mu(args.mu))
     seq = novikov.gap_sequence(mu, args.depth)
@@ -626,6 +627,8 @@ def main(argv=None) -> int:
         with _open_out(args.out) as stream:
             result = args.func(args)
             if args.format == "json":
+                import json
+
                 rows = [dict(zip(result.header, r)) for r in result.payload.get("rows", ())]
                 payload = {**result.payload, "rows": rows} if rows else result.payload
                 # in blocks of encoder chunks: with indent, json.dumps holds every chunk

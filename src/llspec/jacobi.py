@@ -142,7 +142,10 @@ def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
 
 def _finite(mu, name: str = "parameter") -> float:
     """float(mu), refused unless finite: the guard of every closed form in mu."""
-    x = float(mu)
+    try:
+        x = float(mu)
+    except OverflowError:  # an int or Fraction past the float range
+        raise DomainError(f"{name} must be finite, got a value past the float range") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return x

@@ -266,6 +266,11 @@ def test_sample_refuses_a_bit_other_than_zero_or_one_and_a_non_finite_mu(bits, m
         _sample_from_bits(bits, mu)
 
 
+def test_sample_refuses_a_parameter_past_the_float_range():
+    with pytest.raises(DomainError, match="parameter must be finite"):
+        build_jacobi_sample([1, 0, 1], 10**400)
+
+
 def test_samples_at_two_parameter_values_are_refused():
     # one pooled spectrum has one mu: a second value is refused, whichever sample carries it
     one, other = _sample_from_bits([1, 0, 1, 1], 2.0), _sample_from_bits([1, 0, 1, 1], 2.5)

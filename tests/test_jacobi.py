@@ -281,6 +281,14 @@ def test_closed_forms_refuse_a_non_finite_mu(closed_form, mu):
         closed_form(mu)
 
 
+@pytest.mark.parametrize("mu", [10**400, -10**400, Fraction(10**400, 3)],
+                         ids=["int", "negative-int", "fraction"])
+def test_a_parameter_past_the_float_range_is_refused(mu):
+    # float(mu) raises OverflowError for these; the guard reports it as a domain error
+    with pytest.raises(DomainError, match="parameter must be finite"):
+        isolated_eigenvalue(mu)
+
+
 @pytest.mark.parametrize("x", _NON_FINITE)
 def test_density_refuses_a_non_finite_point(x):
     with pytest.raises(DomainError, match="x must be finite"):

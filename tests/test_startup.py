@@ -3,9 +3,10 @@
 Every `llspec` command starts a fresh interpreter, where imports are most of
 the cost of the cheap commands.  `llspec` itself imports no submodule (each
 name is imported from its module), `llspec.cli` imports a layer inside the
-commands that call it, numpy is imported only by the code that computes with
-arrays, and `mpmath` only where multiprecision arithmetic runs.  As a process, every command starts
-OpenBLAS with one thread, which spares it the worker threads' spin-wait.
+commands that call it and `json` only under --format json, numpy is imported
+only by the code that computes with arrays, and `mpmath` only where
+multiprecision arithmetic runs.  As a process, every command starts OpenBLAS
+with one thread, which spares it the worker threads' spin-wait.
 """
 
 import os
@@ -27,20 +28,45 @@ OPTIONAL = (
 )
 
 
-def _loaded_after(code: str) -> list[str]:
-    """Which of OPTIONAL a fresh interpreter holds after running `code`."""
-    probe = f"{code}\nimport sys\nprint('loaded:', *sorted(set({OPTIONAL!r}) & sys.modules.keys()))"
+def _modules_after(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running `code`."""
+    probe = f"{code}\nimport sys\nprint('loaded:', *sorted(sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     ).stdout
     last = out.splitlines()[-1].split()
     assert last[0] == "loaded:"
-    return last[1:]
+    return set(last[1:])
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Which of OPTIONAL a fresh interpreter holds after running `code`."""
+    return sorted(set(OPTIONAL) & _modules_after(code))
 
 
 def test_parser_loads_no_optional_module():
     assert _loaded_after("import llspec.cli; llspec.cli.build_parser()") == []
+
+
+# what `measure` (with `jacobi`) and `json` would bring along from the standard library
+NUMERIC_STDLIB = {"dataclasses", "decimal", "fractions", "json"}
+
+
+@pytest.mark.parametrize("code", [
+    "import llspec.cli; llspec.cli.build_parser()",
+    "import llspec.cli\n"
+    "try:\n"
+    "    llspec.cli.run(['--help'])\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0\n"
+    "else:\n"
+    "    raise AssertionError('no SystemExit')",
+], ids=["build_parser", "help"])
+def test_parser_path_loads_no_layer(code):
+    loaded = _modules_after(code)
+    assert {m for m in loaded if m.split(".")[0] == "llspec"} == {"llspec", "llspec.cli", "llspec.errors"}
+    assert NUMERIC_STDLIB & loaded == set()
 
 
 # one command of each kind, with the optional modules it needs
@@ -67,6 +93,13 @@ def test_command_loads_only_what_it_runs(argv, expected):
         f"assert llspec.cli.main({argv!r} + ['--out', os.devnull]) == 0"
     )
     assert _loaded_after(code) == expected
+
+
+@pytest.mark.parametrize("fmt, loads_json", [("csv", False), ("json", True)])
+def test_json_loads_only_under_format_json(fmt, loads_json):
+    argv = ["zeros", "--mu", "float:0.3", "--depth", "3", "--check", "--format", fmt]
+    code = f"import os, llspec.cli\nassert llspec.cli.main({argv!r} + ['--out', os.devnull]) == 0"
+    assert ("json" in _modules_after(code)) == loads_json
 
 
 def test_refused_arguments_load_no_optional_module():
