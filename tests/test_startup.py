@@ -23,8 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # modules that only some commands need
 OPTIONAL = (
-    "llspec.anderson", "llspec.lamplighter", "llspec.novikov", "mpmath", "numpy", "numpy.ma",
-    "numpy.random",
+    "json", "llspec.anderson", "llspec.lamplighter", "llspec.novikov", "mpmath", "numpy",
+    "numpy.ma", "numpy.random",
 )
 
 
@@ -95,11 +95,11 @@ def test_command_loads_only_what_it_runs(argv, expected):
     assert _loaded_after(code) == expected
 
 
-@pytest.mark.parametrize("fmt, loads_json", [("csv", False), ("json", True)])
-def test_json_loads_only_under_format_json(fmt, loads_json):
-    argv = ["zeros", "--mu", "float:0.3", "--depth", "3", "--check", "--format", fmt]
+def test_json_loads_only_under_format_json():
+    # the CSV runs above load no json
+    argv = ["spectrum", "--mu", "rat:2/1", "--format", "json"]
     code = f"import os, llspec.cli\nassert llspec.cli.main({argv!r} + ['--out', os.devnull]) == 0"
-    assert ("json" in _modules_after(code)) == loads_json
+    assert _loaded_after(code) == ["json"]
 
 
 def test_refused_arguments_load_no_optional_module():
