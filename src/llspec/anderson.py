@@ -72,7 +72,8 @@ class EmpiricalIDS:
         return np.repeat(self.values, self.counts)
 
     def cdf(self, x: float) -> float:
-        """Right-continuous empirical distribution function."""
+        """Right-continuous empirical distribution function; a non-finite x is refused."""
+        x = _finite(x, "x")  # NaN would sort above every value
         below = int(self.counts[: np.searchsorted(self.values, x, side="right")].sum())
         return float(below) / self.site_count
 

@@ -23,8 +23,10 @@ that build a level matrix (char-poly, eigs, multiplicity --check); the last two
 also refuse a level over `lamplighter._DENSE_LEVEL_MAX`.  multiplicity's
 --level is a depth of its sweep, so it is capped like --depth.
 
-Each handler returns what it computed as a `_Result`; `main` alone writes it,
-as CSV or JSON, and maps it to the exit code.
+Each handler builds its CSV rows and JSON payload from the plain values the
+layers return (numbers, arrays, atoms, gap entries; no math module shapes
+output) and returns them as a `_Result`; `main` alone writes it, as CSV or
+JSON, and maps it to the exit code.
 
 As a process (`run`: the `llspec` script and `python -m llspec.cli`), every
 command starts OpenBLAS with one thread: `run` sets OPENBLAS_NUM_THREADS to 1
@@ -266,26 +268,22 @@ def _cmd_spectrum(args) -> _Result:
 
     mu_param = measure.parse_mu(args.mu)
     mu = measure.mu_value(mu_param)
-    pencil = jacobi.pencil_spectrum(mu)
-    jstar = jacobi.jstar_spectrum(mu)
-    onset = jacobi.critical_index(measure.mu_exact(mu_param)) if abs(mu) > 1 else None
+    isolated, mass = jacobi.isolated_eigenvalue(mu), jacobi.isolated_mass(mu)
+    # the pencil in J*'s lam = -2x coordinates: band [-4 - mu, 4 - mu] and, for |mu| > 1,
+    # outliers accumulating at mu + 2/mu, where the pencil's own measure has no atom
+    pencil_band, jstar_band = [-4.0 - mu, 4.0 - mu], list(jacobi.jstar_band(mu))
+    accumulation = None if isolated is None else mu + 2.0 / mu
+    onset = None if isolated is None else jacobi.critical_index(measure.mu_exact(mu_param))
     payload = {
         "mu": args.mu,
-        "pencil": {
-            "band": list(pencil.band),
-            "accumulation_point": pencil.isolated,
-            "outlier_onset_index": onset,
-        },
-        "jstar": {
-            "band": list(jstar.band),
-            "isolated_eigenvalue": jstar.isolated,
-            "isolated_mass": jstar.mass_at_isolated,
-        },
+        "pencil": {"band": pencil_band, "accumulation_point": accumulation,
+                   "outlier_onset_index": onset},
+        "jstar": {"band": jstar_band, "isolated_eigenvalue": isolated, "isolated_mass": mass},
     }
-    row = (*pencil.band, "" if pencil.isolated is None else pencil.isolated,
-           *jstar.band, "" if jstar.isolated is None else jstar.isolated, jstar.mass_at_isolated)
     header = ("pencil_lo", "pencil_hi", "accumulation_point",
               "jstar_lo", "jstar_hi", "isolated_eigenvalue", "isolated_mass")
+    values = (*pencil_band, accumulation, *jstar_band, isolated, mass)
+    row = tuple("" if v is None else v for v in values)
     return _Result(header, _csv_rows([row]), payload)
 
 
@@ -294,15 +292,17 @@ def _cmd_measure(args) -> _Result:
 
     depth = _depth(args.depth)
     trunc = measure.measure_truncation(measure.parse_mu(args.mu), depth)
-    payload = measure.measure_to_json(trunc)
-    rows = [
-        ("atom", a.position, f"{a.mass.numerator}/{a.mass.denominator}",
-         ";".join(map(str, a.indices)), a.kind)
-        for a in trunc.atoms
-    ]
-    rows.append(
-        ("tail", "", f"{trunc.tail_mass.numerator}/{trunc.tail_mass.denominator}", "", "")
-    )
+    rows, atoms = [], []
+    for a in trunc.atoms:
+        mass = f"{a.mass.numerator}/{a.mass.denominator}"
+        rows.append(("atom", a.position, mass, ";".join(map(str, a.indices)), a.kind))
+        atoms.append({"position": a.position, "mass": mass, "indices": list(a.indices),
+                      "class": a.kind})
+    tail = f"{trunc.tail_mass.numerator}/{trunc.tail_mass.denominator}"
+    rows.append(("tail", "", tail, "", ""))
+    # "mu" in the exact form the measure was built for: "14/12" prints as rat:7/6
+    payload = {"mu": measure.format_mu(trunc.mu), "depth": depth, "tail_mass": tail,
+               "atoms": atoms}
     return _Result(("kind", "position", "mass", "indices", "class"), _csv_rows(rows), payload,
                    args.check and trunc.total_mass() != 1)
 

@@ -13,9 +13,9 @@ for every truncation at once, which the tests check the eigenvalues against.
 
 Only the matrix code (`TridiagonalMatrix`, `jstar_truncation`, the
 eigenvalue kernels and the Sturm count) imports numpy, inside the functions
-that use it; the closed forms (`pencil_spectrum`, `jstar_spectrum`,
-`critical_index`, `ac_density`) are plain Python, so the commands that
-need only them start without numpy.
+that use it; the closed forms (`jstar_band`, `isolated_eigenvalue`,
+`isolated_mass`, `critical_index`, `ac_density`) are plain Python, so the
+commands that need only them start without numpy.
 """
 
 from __future__ import annotations
@@ -53,19 +53,6 @@ class TridiagonalMatrix:
     @property
     def n(self) -> int:
         return len(self.diag)
-
-
-@dataclass(frozen=True)
-class SpectrumDescription:
-    """Band plus (for |mu| > 1) one isolated point and its measure atom.
-
-    Both constructors put the point outside the band by algebra: (|mu| - 1)^2 / |mu|
-    past the J* band and twice that past the pencil's.
-    """
-
-    band: tuple[float, float]
-    isolated: float | None
-    mass_at_isolated: float
 
 
 def jstar_truncation(mu: float, n: int) -> TridiagonalMatrix:
@@ -215,31 +202,3 @@ def band_edge_index(mu) -> int | None:
     excess = abs(as_fraction(mu)) - 1
     return excess.denominator if excess > 0 and excess.numerator == 1 else None
 
-
-def jstar_spectrum(mu: float) -> SpectrumDescription:
-    """Spectrum of J*(mu): the band, plus the isolated point when |mu| > 1."""
-    mu = _finite(mu)
-    return SpectrumDescription(
-        band=jstar_band(mu),
-        isolated=isolated_eigenvalue(mu),
-        mass_at_isolated=isolated_mass(mu),
-    )
-
-
-def pencil_spectrum(mu: float) -> SpectrumDescription:
-    """Spectrum of the convolution pencil, in the lam = -2x coordinates.
-
-    Band [-4 - mu, 4 - mu]; for |mu| > 1 additionally the accumulation point
-    mu + 2/mu of eigenvalues outside the band.  mass_at_isolated is the atom
-    of the (transported) J* orthogonality measure there; the spectral measure
-    of the pencil itself has no atom at the accumulation point.
-    """
-    mu = _finite(mu)
-    isolated = None
-    if abs(mu) > 1.0:
-        isolated = mu + 2.0 / mu
-    return SpectrumDescription(
-        band=(-4.0 - mu, 4.0 - mu),
-        isolated=isolated,
-        mass_at_isolated=isolated_mass(mu),
-    )

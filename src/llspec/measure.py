@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError
-from .jacobi import band_edge_index
+from .jacobi import _finite, band_edge_index
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,9 @@ class AtomicMeasure:
         That point is the nearest atom, if it lies within `coalesce_tol`, with
         every atom at the same double.  The atoms are in ascending order, so
         the nearest is found by bisection; of two equally near, the lower.
+        A non-finite position is refused: NaN would fall on no atom.
         """
+        position = _finite(position, "x")
         tol = coalesce_tol(mu_value(self.mu))
         atoms = self.atoms
         i = bisect.bisect_left(atoms, position, key=_position)
@@ -409,20 +411,3 @@ def measure_cdf_mids(measure: AtomicMeasure, xs) -> list[float]:
     return [float(2 * below[bisect.bisect_right(positions, x)] + measure.tail_mass) / 2.0
             for x in xs]
 
-
-def measure_to_json(measure: AtomicMeasure) -> dict:
-    """JSON-ready dict: rationals as "p/q" strings, positions as floats."""
-    return {
-        "mu": format_mu(measure.mu),
-        "depth": measure.depth,
-        "tail_mass": f"{measure.tail_mass.numerator}/{measure.tail_mass.denominator}",
-        "atoms": [
-            {
-                "position": atom.position,
-                "mass": f"{atom.mass.numerator}/{atom.mass.denominator}",
-                "indices": list(atom.indices),
-                "class": atom.kind,
-            }
-            for atom in measure.atoms
-        ],
-    }

@@ -53,6 +53,9 @@ _MU_MAX = 1e150
 # depth.  The bound is sized so that the slowest sequence it admits takes
 # about 10 s (about 17 us a 30-digit step with mpmath's Python backend).
 _WORK_MAX = 1e5
+# fewest entries a gap sequence may have: `decay_rate` fits its tail window of
+# at least this many, so a shorter sequence is refused before any mp work
+_MIN_ENTRIES = 10
 
 
 @dataclass(frozen=True)
@@ -192,13 +195,13 @@ def gap_sequence(mu, M: int) -> GapSequence:
         raise DomainError(f"gap sequence requires |mu| <= {_MU_MAX:g}, got {got}")
     muf = float(mu)
     start = critical_index(mu)  # depends on |mu| only
-    if M < start + 5:
-        raise DomainError(f"need M >= {start + 5} for a usable sequence")
+    if M - start + 1 < _MIN_ENTRIES:
+        raise DomainError(f"need M >= {start + _MIN_ENTRIES - 1} for a usable sequence")
     work = 0.0
     for m in range(start, M + 1):  # each term is at least `start`, so this ends early
         work += m * (1.0 + (_digits(abs(muf), m) / 300.0) ** 1.6)
         if work > _WORK_MAX:
-            within = f"depth {m - 1} is" if m > start + 5 else "no depth is"
+            within = f"depth {m - 1} is" if m - start >= _MIN_ENTRIES else "no depth is"
             raise DomainError(
                 f"gap sequence to depth {M} at mu={muf:g} exceeds the work bound "
                 f"{_WORK_MAX:g} (precision {_digits(abs(muf), M)} digits at m={M}); "
@@ -224,8 +227,8 @@ def decay_rate(seq: GapSequence) -> float:
 
     For gaps behaving like C r^m this returns r; here r = mu^-2.
     """
-    if len(seq.entries) < 10:
-        raise InsufficientDataError("need at least 10 gap entries")
+    if len(seq.entries) < _MIN_ENTRIES:
+        raise InsufficientDataError(f"need at least {_MIN_ENTRIES} gap entries")
     window = _tail_window(seq.entries)
     ms = [e.m for e in window]
     logs = [e.log2_gap * _LN2 for e in window]

@@ -21,7 +21,7 @@ from llspec.anderson import (
 from llspec.errors import DomainError
 from llspec.ghpolys import g_zeros
 from llspec.jacobi import tridiag_eigs
-from llspec.measure import FloatMu, RationalMu, measure_truncation
+from llspec.measure import FloatMu, RationalMu, measure_truncation, root_multiplicity
 
 
 def _sample_from_bits(bits, mu):
@@ -153,6 +153,18 @@ def test_compare_ids_rejects_checkpoints_on_atoms():
     trunc = measure_truncation(RationalMu(0, 1), 6)
     with pytest.raises(DomainError):
         compare_ids(_ONE_SITE, trunc, [0.0])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_the_measure_comparison_refuses_a_non_finite_point(x):
+    # NaN sorts above every eigenvalue and falls on no atom, so it would be
+    # compared as if it lay past the spectrum
+    ids = empirical_ids([build_jacobi_sample(sample_window(7, 0, 2000), 0.0)])
+    trunc = measure_truncation(RationalMu(0, 1), 6)
+    for ask in (ids.cdf, trunc.atoms_at, lambda x: root_multiplicity(trunc, x),
+                lambda x: compare_ids(ids, trunc, [x])):
+        with pytest.raises(DomainError, match="x must be finite"):
+            ask(x)
 
 
 @given(st.floats(-3.0, 300.0), st.booleans())

@@ -16,7 +16,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import llspec
@@ -110,6 +110,75 @@ def test_spectrum_payload(capsys):
     assert payload["pencil"]["accumulation_point"] == 3.0
     assert payload["pencil"]["outlier_onset_index"] == 1
     assert payload["jstar"]["isolated_mass"] == 0.75
+
+
+def _spectrum_payload(capsys, mu):
+    code, out, _ = _run(capsys, "spectrum", "--mu", mu, "--format", "json")
+    assert code == EXIT_OK
+    return json.loads(out)
+
+
+def test_spectrum_descriptions(capsys):
+    s0 = _spectrum_payload(capsys, "float:0")
+    assert s0["pencil"]["band"] == [-4.0, 4.0] and s0["pencil"]["accumulation_point"] is None
+    assert s0["jstar"]["isolated_mass"] == 0.0
+    s2 = _spectrum_payload(capsys, "float:2")
+    assert s2["pencil"]["band"] == [-6.0, 2.0]
+    assert s2["pencil"]["accumulation_point"] == pytest.approx(3.0)
+    sm2 = _spectrum_payload(capsys, "float:-2")
+    assert sm2["pencil"]["band"] == [-2.0, 6.0]
+    assert sm2["pencil"]["accumulation_point"] == pytest.approx(-3.0)
+    assert s2["jstar"]["isolated_eigenvalue"] == pytest.approx(-1.5)
+    assert s2["jstar"]["isolated_mass"] == pytest.approx(0.75)
+    # the point lies outside the band by algebra, with no guard to meet
+    for mu in (1.01, 1.5, 2.0, -1.01, -3.0, 1e6):
+        pencil, jstar = map(_spectrum_payload(capsys, f"float:{mu!r}").get, ("pencil", "jstar"))
+        for (lo, hi), point in ((pencil["band"], pencil["accumulation_point"]),
+                                (jstar["band"], jstar["isolated_eigenvalue"])):
+            assert not lo < point < hi
+
+
+@given(mu=st.floats(allow_nan=False, allow_infinity=False))
+@example(mu=1.0)
+@example(mu=-1.0)
+@example(mu=4.0)
+@example(mu=-4.0)
+@example(mu=math.nextafter(1.0, 2.0))
+@example(mu=math.nextafter(1.0, 0.0))
+@example(mu=math.nextafter(-1.0, -2.0))
+@example(mu=5e-324)
+@example(mu=-2.225073858507201e-308)
+@example(mu=1e308)
+@example(mu=-1e308)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_spectrum_pencil_row_is_the_jstar_row_at_lam_minus_two_x(capsys, mu):
+    code, out, err = _run(capsys, "spectrum", "--mu", f"float:{mu!r}")
+    assert (code, err) == (EXIT_OK, "")
+    header, row = out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    # float == ignores the sign of zero, which the two sides may print differently
+    assert float(cells["pencil_lo"]) == -2 * float(cells["jstar_hi"])
+    assert float(cells["pencil_hi"]) == -2 * float(cells["jstar_lo"])
+    assert (cells["accumulation_point"] == "") == (abs(mu) <= 1)
+    assert (cells["isolated_eigenvalue"] == "") == (abs(mu) <= 1)
+    if abs(mu) > 1:
+        assert float(cells["accumulation_point"]) == -2 * float(cells["isolated_eigenvalue"])
+
+
+def test_measure_json_serialization(capsys):
+    m = measure.measure_truncation(measure.RationalMu(0, 1), 7)
+    code, out, _ = _run(capsys, "measure", "--mu", "rat:0/1", "--depth", "7", "--format", "json")
+    assert code == EXIT_OK
+    parsed = json.loads(out)
+    assert parsed["mu"] == "rat:0/1"
+    assert parsed["depth"] == 7
+    tail_num, tail_den = parsed["tail_mass"].split("/")
+    assert Fraction(int(tail_num), int(tail_den)) == m.tail_mass
+    masses = [Fraction(*(int(v) for v in a["mass"].split("/"))) for a in parsed["atoms"]]
+    assert sum(masses, Fraction(0)) + m.tail_mass == 1
+    origin = next(a for a in parsed["atoms"] if abs(a["position"]) < 1e-9)
+    assert origin["class"] == "B2_merged" and origin["indices"] == [1, 3, 5, 7]
 
 
 def test_measure_exact_masses(capsys):
@@ -362,10 +431,16 @@ _COMMANDS = {
     "measure-b1": ("measure", "--mu", "b1:1/22:7", "--depth", "24", "--check"),
     "multiplicity-b2": ("multiplicity", "--level", "5", "--mu", "b2:1/3", "--grid", "2,0,-1",
                         "--check"),
+    # -2 * (J*'s values) would print -0 here, where the pencil's own expressions print 0
+    "spectrum-r-4": ("spectrum", "--mu", "rat:-4/1"),
+    # the largest parameters: 1/mu is subnormal, and vanishes next to mu
+    "spectrum-f1e308": ("spectrum", "--mu", "float:1e308"),
 }
 
 # exit code and SHA-256 of stdout, taken before the handlers returned their
-# results to `main`, when each handler wrote its own output
+# results to `main`, when each handler wrote its own output; the two
+# spectrum-r-4 and spectrum-f1e308 pairs were taken while `jacobi` still built
+# spectrum's band records
 _COMMAND_DIGESTS = {
     ("char-poly", "csv"): (0, "f5b1099ce8a15c7a438cf43799400a9329ee20b7b667ed14a285726fc278f3b2"),
     ("char-poly", "json"): (0, "14d2d8b5388f6eecde2234c4dbddb27bc0cf30adb178ea0cefce520c9c6efb05"),
@@ -393,6 +468,10 @@ _COMMAND_DIGESTS = {
     ("measure-b1", "json"): (0, "3c8c319dee588f013ce9e7067d5eafa50da542546f9a17f27bef46cefef82255"),
     ("multiplicity-b2", "csv"): (0, "13833a99ab365b18faf2997f7042ff0a4090fbcb6ad16a43429bfa09a4c3c34e"),
     ("multiplicity-b2", "json"): (0, "95e83998984466e50269fc506579053f837450f371272109799cac12f31a7a2d"),
+    ("spectrum-r-4", "csv"): (0, "1abbbf1ed131315c23805b1c6be1a66aa5741c68da0aea804d4d24201499e3a3"),
+    ("spectrum-r-4", "json"): (0, "ad666207c1ab77debd887c3a084119b76dd1011786e69bfe48dca3fd9eda8300"),
+    ("spectrum-f1e308", "csv"): (0, "8d72299be3bbe55326e1a67b71aa9dcccde4a939db60e1c2e5aeb3c7141a8c05"),
+    ("spectrum-f1e308", "json"): (0, "8f9ed26356d1ba4dc876f26380a859f2de8f9c05c666f3949dcf9fce5b712348"),
 }
 
 
@@ -699,6 +778,20 @@ def test_ns_json_meta_is_deterministic(tmp_path, capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "m,x_m,gap,log2_gap" and len(lines) == len(effort) + 1
+
+
+def test_ns_too_short_a_sequence_is_refused_before_any_mp_work(capsys, monkeypatch):
+    # `decay_rate` fits at least 10 entries; at mu = 2 they start at m = 1
+    solved = []
+    solve = novikov._outlier_zero_mp
+    monkeypatch.setattr(novikov, "_outlier_zero_mp",
+                        lambda mu, m: solved.append(m) or solve(mu, m))
+    code, out, err = _run(capsys, "ns", "--mu", "float:2", "--depth", "9")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.splitlines() == ["error: need M >= 10 for a usable sequence"]
+    assert solved == []
+    assert _run(capsys, "ns", "--mu", "float:2", "--depth", "10")[0] == EXIT_OK
+    assert solved == list(range(1, 11))
 
 
 def test_ns_convergence_failure_exits_four(capsys, monkeypatch):

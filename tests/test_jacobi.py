@@ -23,10 +23,8 @@ from llspec.jacobi import (
     isolated_eigenvalue,
     isolated_mass,
     jstar_band,
-    jstar_spectrum,
     jstar_truncation,
     leading_counts_below,
-    pencil_spectrum,
     tridiag_eigs,
     tridiag_eigs_batch,
 )
@@ -272,10 +270,10 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @pytest.mark.parametrize("mu", _NON_FINITE)
 @pytest.mark.parametrize("closed_form", [
-    isolated_eigenvalue, isolated_mass, jstar_spectrum, pencil_spectrum, critical_index,
-    band_edge_index, lambda mu: ac_density(0.0, mu),
-], ids=["isolated_eigenvalue", "isolated_mass", "jstar_spectrum", "pencil_spectrum",
-        "critical_index", "band_edge_index", "ac_density"])
+    isolated_eigenvalue, isolated_mass, critical_index, band_edge_index,
+    lambda mu: ac_density(0.0, mu),
+], ids=["isolated_eigenvalue", "isolated_mass", "critical_index", "band_edge_index",
+        "ac_density"])
 def test_closed_forms_refuse_a_non_finite_mu(closed_form, mu):
     with pytest.raises(DomainError, match="parameter must be finite"):
         closed_form(mu)
@@ -300,21 +298,6 @@ def test_sturm_count_refuses_a_non_finite_point(x):
     # a NaN pivot compares false and would count no eigenvalue at all
     with pytest.raises(DomainError, match="x must be finite"):
         leading_counts_below(jstar_truncation(0.5, 3), x)
-
-
-def test_spectrum_descriptions():
-    s0 = pencil_spectrum(0.0)
-    assert s0.band == (-4.0, 4.0) and s0.isolated is None and s0.mass_at_isolated == 0.0
-    s2 = pencil_spectrum(2.0)
-    assert s2.band == (-6.0, 2.0) and s2.isolated == pytest.approx(3.0)
-    sm2 = pencil_spectrum(-2.0)
-    assert sm2.band == (-2.0, 6.0) and sm2.isolated == pytest.approx(-3.0)
-    j2 = jstar_spectrum(2.0)
-    assert j2.isolated == pytest.approx(-1.5) and j2.mass_at_isolated == pytest.approx(0.75)
-    # the point lies outside the band by algebra, with no guard to meet
-    for mu in (1.01, 1.5, 2.0, -1.01, -3.0, 1e6):
-        for s in (pencil_spectrum(mu), jstar_spectrum(mu)):
-            assert not s.band[0] < s.isolated < s.band[1]
 
 
 @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])

@@ -1,6 +1,5 @@
 """Atomic measure truncations, exceptional-set classification, multiplicities."""
 
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +22,6 @@ from llspec.measure import (
     classify_mu,
     format_mu,
     measure_cdf_mids,
-    measure_to_json,
     measure_truncation,
     mu_value,
     parse_mu,
@@ -525,17 +523,3 @@ def test_cdf_mids_match_ids_cdf_on_and_between_atoms(mu):
     xs = [-20.0, *positions, *(0.5 * (a + b) for a, b in zip(positions, positions[1:])), 20.0]
     assert measure_cdf_mids(m, xs) == [float(sum(_ids_cdf(m, x))) / 2.0 for x in xs]
 
-
-def test_json_serialization():
-    m = measure_truncation(RationalMu(0, 1), 7)
-    payload = measure_to_json(m)
-    text = json.dumps(payload)
-    parsed = json.loads(text)
-    assert parsed["mu"] == "rat:0/1"
-    assert parsed["depth"] == 7
-    tail_num, tail_den = parsed["tail_mass"].split("/")
-    assert Fraction(int(tail_num), int(tail_den)) == m.tail_mass
-    masses = [Fraction(*(int(v) for v in a["mass"].split("/"))) for a in parsed["atoms"]]
-    assert sum(masses, Fraction(0)) + m.tail_mass == 1
-    origin = next(a for a in parsed["atoms"] if abs(a["position"]) < 1e-9)
-    assert origin["class"] == "B2_merged" and origin["indices"] == [1, 3, 5, 7]

@@ -26,7 +26,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         gap_sequence(1.0, 40)
     with pytest.raises(DomainError):
-        gap_sequence(2.0, 4)  # below critical index + 5
+        gap_sequence(2.0, 9)  # below critical index + 9: fewer than 10 entries
     with pytest.raises(DomainError):
         ns_invariant(0.5)
     with pytest.raises(InsufficientDataError):
@@ -85,7 +85,7 @@ def test_first_entry_is_a_true_outlier(mu):
     # none of these doubles is (m+1)/m, so the first entry is solved, and one
     # eigenvalue of its truncation lies below the band bottom |mu|/2 - 2: the
     # smallest, which the solved one is, since nothing lies left of its bracket
-    first = gap_sequence(mu, critical_index(mu) + 5).entries[0]
+    first = gap_sequence(mu, critical_index(mu) + 9).entries[0]
     assert first.m == critical_index(mu) and first.passes > 0
     with mp.workdps(first.digits + 20):
         mmu = _mpf(abs(mu))
@@ -251,9 +251,8 @@ def test_work_bound_refuses_before_any_mp_work(monkeypatch):
     # the deepest sequences within the bound, each about 3 to 9 s when solved,
     # then one level deeper: many short recurrences, long recurrences at 30
     # digits, and few recurrences at thousands of digits
-    # (1.001 and 1.0001 are doubles below 1 + 1/1000 and 1 + 1/10000, so
-    # their sequences start at 1001 and 10001)
-    for mu, depth in ((2.0, 372), (1.001, 1093), (1.0001, 10009), (1e150, 34)):
+    # (1.001 is a double below 1 + 1/1000, so its sequence starts at 1001)
+    for mu, depth in ((2.0, 372), (1.001, 1093), (1e150, 34)):
         start = critical_index(mu)
         assert [e.m for e in gap_sequence(mu, depth).entries] == list(range(start, depth + 1))
         del solved[:]
@@ -262,9 +261,11 @@ def test_work_bound_refuses_before_any_mp_work(monkeypatch):
         assert solved == []
     # the benchmark's `ns --mu float:2 --depth 60` is far inside the bound
     assert len(gap_sequence(2.0, 60).entries) == 60
-    # so close to 1 that even the shortest usable sequence is too long
-    with pytest.raises(DomainError, match="no depth is within it"):
-        gap_sequence(1.00005, 20005)
+    # so close to 1 that even the shortest usable sequence, 10 entries from
+    # 10001 (1.0001 is a double below 1 + 1/10000) or from 20000, is too long
+    for mu, depth in ((1.0001, 10010), (1.00005, 20009)):
+        with pytest.raises(DomainError, match="no depth is within it"):
+            gap_sequence(mu, depth)
     assert solved == list(range(1, 61))
 
 
@@ -278,7 +279,7 @@ def test_effort_is_recorded_per_entry():
 
 
 @pytest.mark.parametrize("mu, depth", [(2.0, 30), (3.0, 20), (Fraction(7, 6), 20),
-                                       (1.001, 1006), (-3.0, 20)])
+                                       (1.001, 1010), (-3.0, 20)])
 def test_newton_iterates_rise_without_passing_the_eigenvalue(monkeypatch, mu, depth):
     # started at the limit point, left of every eigenvalue, each Newton step
     # rises towards the smallest one and never passes it: every iterate before
