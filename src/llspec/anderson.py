@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .errors import DomainError
-from .jacobi import TridiagonalMatrix, _finite, tridiag_eigs_batch
+from .errors import DomainError, _finite
+from .jacobi import TridiagonalMatrix, tridiag_eigs_batch
 from .measure import AtomicMeasure, coalesce_tol, measure_cdf_mids, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
@@ -81,8 +81,6 @@ class EmpiricalIDS:
 @dataclass(frozen=True)
 class ComparisonReport:
     sup_deviation: float
-    tail_mass: float  # width of the theoretical CDF interval
-    checkpoints: tuple[float, ...]
     empirical_cdf: tuple[float, ...]
     theoretical_mid: tuple[float, ...]
 
@@ -214,7 +212,7 @@ def _walk_line(windows: Iterable[np.ndarray], mu: float) -> EmpiricalIDS:
     so the result is the same as for a single window over the whole line:
     the line's first and last blocks are left out, every other block counts.
     """
-    counts = _BlockCounts(float(mu))
+    counts = _BlockCounts(_finite(mu))
     carry = np.empty(0, dtype=np.uint8)
     first = 1  # until the line's first block has been closed
     for window in windows:
@@ -258,10 +256,10 @@ def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> Compariso
     """Sup distance between an `EmpiricalIDS` and the truncated-measure CDF.
 
     The theoretical value at a point is only known to within the truncation
-    tail, so the midpoint of [lo, lo + tail] is used and the tail width is
-    reported alongside.
+    tail, so the midpoint of [lo, lo + tail] is used; the tail width is the
+    measure's own `tail_mass`.
     """
-    checkpoints = np.asarray(list(checkpoints), dtype=float)
+    checkpoints = np.array([_finite(c, "x") for c in checkpoints])
     if checkpoints.size == 0:
         raise DomainError("need at least one checkpoint")
     for c in checkpoints:
@@ -272,8 +270,6 @@ def compare_ids(empirical, theoretical: AtomicMeasure, checkpoints) -> Compariso
     deviations = [abs(e - t) for e, t in zip(emp_cdf, theo_mid)]
     return ComparisonReport(
         sup_deviation=max(deviations),
-        tail_mass=float(theoretical.tail_mass),
-        checkpoints=tuple(float(c) for c in checkpoints),
         empirical_cdf=tuple(emp_cdf),
         theoretical_mid=tuple(theo_mid),
     )

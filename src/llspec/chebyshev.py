@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 
 # Rescaling threshold for the float recurrence.  Values are folded back into
 # [2^-512, 2^512) while an integer exponent accumulates, so intermediate
@@ -54,7 +54,7 @@ def _ldexp_safe(m: float, e: int) -> float:
 
 def u_eval(n: int, x: float) -> float:
     """U_n(float(x)) from `u_pair_scaled`, saturating to +-inf where it exceeds a double."""
-    _, cur, e = u_pair_scaled(n, float(x))
+    _, cur, e = u_pair_scaled(n, _finite(x, "x"))
     return _ldexp_safe(cur, e)
 
 

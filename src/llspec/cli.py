@@ -492,8 +492,8 @@ def _cmd_dos(args) -> _Result:
         "depth": depth,
         "interior_sites": ids.site_count,
         "sup_deviation": report.sup_deviation,
-        "tail_mass": report.tail_mass,
-        "checkpoints": list(report.checkpoints),
+        "tail_mass": float(trunc.tail_mass),
+        "checkpoints": checkpoints.tolist(),
         "empirical_cdf": list(report.empirical_cdf),
         "theoretical_mid": list(report.theoretical_mid),
     }

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the finite-float guard that raises one."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -24,3 +26,14 @@ class ConvergenceError(RuntimeError):
 
 class InsufficientDataError(RuntimeError):
     """Not enough usable data points for a statistical estimate."""
+
+
+def _finite(value, name: str = "parameter") -> float:
+    """float(value), refused unless finite: the guard of every float argument."""
+    try:
+        x = float(value)
+    except OverflowError:  # an int or Fraction past the float range
+        raise DomainError(f"{name} must be finite, got a value past the float range") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return x

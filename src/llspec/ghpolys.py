@@ -32,8 +32,8 @@ import math
 
 import numpy as np
 
-from .chebyshev import _BIG, _BIG_INV, _ldexp_safe, u_pair_scaled
-from .errors import DomainError
+from .chebyshev import _BIG, _BIG_INV, _X_MAX, _ldexp_safe, u_pair_scaled
+from .errors import DomainError, _finite
 from .jacobi import jstar_truncation, tridiag_eigs
 
 _LN2 = math.log(2.0)
@@ -47,6 +47,7 @@ def _g_terms(k: int, lam: float, mu: float) -> tuple[float, float, int]:
     """
     if k < 1:
         raise DomainError("index k must be >= 1")
+    lam, mu = _finite(lam, "lam"), _finite(mu)
     s = (-lam - mu) / 4.0
     if not math.isfinite(s):  # -lam - mu overflows, and the recurrence would give NaN
         raise DomainError(f"(-lam - mu) / 4 is not finite at lam={lam!r}, mu={mu!r}")
@@ -86,10 +87,14 @@ def g_value_recursive(k: int, lam: float, mu: float) -> float:
     """G_k(lam, mu) / 2^k by iterating the companion recursion.
 
     Each step applies [[-lam - mu, -4], [1, 0]] and rescales by 1/2; kept as
-    an independent oracle for the closed form.
+    an independent oracle for the closed form.  lam and mu are taken below
+    2^510 in size, so no step overflows into NaN before its rescale.
     """
     if k < 1:
         raise DomainError("index k must be >= 1")
+    lam, mu = _finite(lam, "lam"), _finite(mu)
+    if not max(abs(lam), abs(mu)) < _X_MAX:
+        raise DomainError(f"lam={lam!r} or mu={mu!r} is not below 2^510 in size")
     g, h = (mu - lam) / 2.0, 0.5  # (G_1, H_1) / 2
     e = 0
     for _ in range(k - 1):
@@ -111,6 +116,7 @@ def angular_form(k: int, t: float, mu: float) -> float:
         raise DomainError("index k must be >= 1")
     if not 0.0 < t < math.pi:
         raise DomainError("angular parameter must lie strictly inside (0, pi)")
+    mu = _finite(mu)
     return math.sin((k + 1) * t) + mu * math.sin(k * t)
 
 

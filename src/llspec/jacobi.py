@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,6 +59,7 @@ def jstar_truncation(mu: float, n: int) -> TridiagonalMatrix:
     """The n x n leading truncation of J*(mu)."""
     if n < 1:
         raise DomainError("truncation size must be >= 1")
+    mu = _finite(mu)
     import numpy as np
 
     diag = np.full(n, mu / 2.0)
@@ -68,6 +69,7 @@ def jstar_truncation(mu: float, n: int) -> TridiagonalMatrix:
 
 def jstar_band(mu: float) -> tuple[float, float]:
     """Essential spectrum of J*(mu): the band [mu/2 - 2, mu/2 + 2]."""
+    mu = _finite(mu)
     return (mu / 2.0 - 2.0, mu / 2.0 + 2.0)
 
 
@@ -125,17 +127,6 @@ def leading_counts_below(t: TridiagonalMatrix, x: float) -> np.ndarray:
                 acc += 1
             counts[i] = acc
     return counts
-
-
-def _finite(mu, name: str = "parameter") -> float:
-    """float(mu), refused unless finite: the guard of every closed form in mu."""
-    try:
-        x = float(mu)
-    except OverflowError:  # an int or Fraction past the float range
-        raise DomainError(f"{name} must be finite, got a value past the float range") from None
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 def as_fraction(mu) -> Fraction:

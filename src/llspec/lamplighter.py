@@ -14,10 +14,11 @@ characteristic determinant
     Phi_n(lam, mu) = det(M_n(mu) - lam I)
                    = (4 - lam - mu) G_1^(2^(n-2)) G_2^(2^(n-3)) ... G_{n-1} G_n
 
-factors through the level polynomials.  Both routes are implemented: an LU
-determinant of the assembled matrix and the factored product in
-(sign, log-magnitude) form, plus a dense rotation eigensolver as the oracle
-for eigenvalue multiplicities.  The matrices are plain numpy arrays: a, b, c
+factors through the level polynomials, each with the exponent that
+`measure._g_exponent` gives.  Both routes are implemented: an LU determinant
+of the assembled matrix and the factored product in (sign, log-magnitude)
+form, plus a dense rotation eigensolver as the oracle for eigenvalue
+multiplicities.  The matrices are plain numpy arrays: a, b, c
 as uint8 permutation matrices in a `LevelRep`, M_n(mu) as a float64 array.
 """
 
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError, DomainError, _finite
 from .ghpolys import g_signlog
+from .measure import _g_exponent
 
 # memory a level may take: `phi_det_signlog` holds three float64 copies of
 # 8 * 4^n bytes (the cached pencil, the shifted copy and LAPACK's), and peak
@@ -81,6 +83,7 @@ def build_level(n: int) -> LevelRep:
 
 def pencil_matrix(rep: LevelRep, mu: float) -> np.ndarray:
     """The symmetric float64 matrix a + a^T + b + b^T - mu c of the level."""
+    mu = _finite(mu)  # an int mu times the uint8 c would keep uint8 and overflow
     # summed in place, in the order of a + a.T + b + b.T - mu * c, so at level
     # 12 two float copies (134 MB each) are live at once instead of five
     m = rep.a.astype(float)
@@ -102,8 +105,7 @@ def _pencil_entries(n: int, mu: float) -> np.ndarray:
 def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     """(sign, ln|Phi_n|) from an LU determinant of M_n(mu) - lam I."""
     _check_level(n)
-    if not math.isfinite(lam):
-        raise DomainError(f"lam must be finite, got {lam}")
+    lam = _finite(lam, "lam")
     # the pencil holds no -0.0, so for finite lam this is M - lam I bit for bit
     m = _pencil_entries(n, mu).copy()
     m.flat[:: m.shape[0] + 1] -= lam
@@ -111,21 +113,17 @@ def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     return float(sign), float(logabs)
 
 
-def _g_exponent(n: int, k: int) -> int:
-    """Exponent of G_k in the level-n factorization: 2^(n-1-k) for k < n, 1 for k = n."""
-    return 1 if k == n else 1 << (n - 1 - k)
-
-
 def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     """(sign, ln|Phi_n|) from the factored product over the level polynomials.
 
-    The factor G_k enters with exponent `_g_exponent(n, k)`; at n = 0 the
+    The factor G_k enters with exponent `measure._g_exponent(n, k)`; at n = 0 the
     lead factor 4 - lam - mu is the whole product.
     Working in log-magnitude keeps exponents of order 2^n exact where plain
     floats would overflow by n around 15.
     """
     if n < 0:
         raise DomainError("factorized form needs n >= 0")
+    lam, mu = _finite(lam, "lam"), _finite(mu)
     lead = 4.0 - lam - mu
     if lead == 0.0:
         return 0.0, -math.inf

@@ -30,6 +30,10 @@ B3 only, both exactly.  B1Mu and B2Mu are in B1 by construction.  A rational
 is in B1 only at 0 and +-1, since a rational ratio of sines of rational
 angles is +-1, +-2 or +-1/2 (Conway & Jones), and in B3 at 1 + 1/k.  A float
 is the rational its double stores, and is decided as that rational.
+
+The exponent e_k of G_k in the level factorization Phi_n = (4 - lam - mu)
+prod G_k^(e_k) is `_g_exponent`, kept here with its readers
+`root_multiplicity` and `level_roots`; `lamplighter` imports it.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError
-from .jacobi import _finite, band_edge_index
+from .errors import DomainError, _finite
+from .jacobi import band_edge_index
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +62,7 @@ class FloatMu:
     x: float
 
     def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise DomainError(f"parameter must be finite, got {self.x!r}")
+        _finite(self.x)
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,7 @@ def coalesce_tol(mu: float) -> float:
     The package's only same-point rule: a billionth of the spectrum's scale,
     which overflows, and is refused, once |mu| reaches half the largest double.
     """
+    mu = _finite(mu)
     tol = 1e-9 * (abs(4.0 - mu) + abs(4.0 + mu))
     if not math.isfinite(tol):
         raise DomainError(f"no same-point tolerance at mu={mu!r}: |4 - mu| + |4 + mu| overflows")
@@ -373,6 +377,11 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     return AtomicMeasure(mu=mu, depth=depth, atoms=tuple(atoms), tail_mass=tail_mass(depth))
 
 
+def _g_exponent(n: int, k: int) -> int:
+    """Exponent of G_k in the level-n factorization: 2^(n-1-k) for k < n, 1 for k = n."""
+    return 1 if k == n else 1 << (n - 1 - k)
+
+
 def root_multiplicity(measure: AtomicMeasure, lam: float) -> int:
     """Multiplicity of lam as a root of the level-n determinant, n = measure.depth.
 
@@ -380,8 +389,6 @@ def root_multiplicity(measure: AtomicMeasure, lam: float) -> int:
     each G_k it is a zero of: the indices of the atoms lam falls on, as
     `AtomicMeasure.atoms_at` decides; 1 more when lam is 4 - mu.
     """
-    from .lamplighter import _g_exponent  # and so numpy: parsing a parameter needs neither
-
     x = mu_value(measure.mu)
     mult = sum(_g_exponent(measure.depth, k) for a in measure.atoms_at(lam) for k in a.indices)
     return mult + (abs(lam - (4.0 - x)) <= coalesce_tol(x))
@@ -391,8 +398,6 @@ def level_roots(measure: AtomicMeasure):
     """The roots of the level-n determinant, n = measure.depth, ascending, each as often
     as `root_multiplicity` counts it: 4 - mu, and each atom once per e_k of its indices."""
     import numpy as np
-
-    from .lamplighter import _g_exponent
 
     counts = [sum(_g_exponent(measure.depth, k) for k in a.indices) for a in measure.atoms]
     roots = np.repeat([a.position for a in measure.atoms], counts)
@@ -406,6 +411,7 @@ def measure_cdf_mids(measure: AtomicMeasure, xs) -> list[float]:
     The atoms, ascending already, are summed as they come, so each point
     costs one bisection, not a sum over every atom.
     """
+    xs = [_finite(x, "x") for x in xs]  # NaN would count as above every atom
     positions = [a.position for a in measure.atoms]
     below = list(itertools.accumulate((a.mass for a in measure.atoms), initial=Fraction(0)))
     return [float(2 * below[bisect.bisect_right(positions, x)] + measure.tail_mass) / 2.0

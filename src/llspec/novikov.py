@@ -204,7 +204,7 @@ def gap_sequence(mu, M: int) -> GapSequence:
             within = f"depth {m - 1} is" if m - start >= _MIN_ENTRIES else "no depth is"
             raise DomainError(
                 f"gap sequence to depth {M} at mu={muf:g} exceeds the work bound "
-                f"{_WORK_MAX:g} (precision {_digits(abs(muf), M)} digits at m={M}); "
+                f"{_WORK_MAX:g} (precision {_digits(abs(muf), m)} digits at m={m}); "
                 f"{within} within it"
             )
     entries = tuple(_outlier_zero_mp(abs(mu), m) for m in range(start, M + 1))

@@ -114,6 +114,12 @@ def test_zero_interlacing(n):
         assert len(inside) == 1
 
 
+@pytest.mark.parametrize("x", [10**400, Fraction(-(10**400), 3)], ids=["1e400", "-1e400/3"])
+def test_an_argument_past_the_float_range_is_refused(x):
+    with pytest.raises(DomainError, match="x must be finite"):
+        u_eval(3, x)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 40, 1000])
 def test_scaled_recurrence_stays_finite_up_to_its_argument_bound(n):
     # after a rescale |c| reaches 2^512, so 2x c is finite only for |x| < 2^511

@@ -729,8 +729,15 @@ def test_ns_large_mu_is_certified_or_refused(capsys):
     assert code == EXIT_DOMAIN and out == ""
     assert err.splitlines() == [
         "error: gap sequence to depth 60 at mu=1e+150 exceeds the work bound 100000 "
-        "(precision 18175 digits at m=60); depth 34 is within it"
+        "(precision 10675 digits at m=35); depth 34 is within it"
     ]
+
+
+def test_ns_depth_past_the_float_range_exits_two(capsys):
+    # the work-bound message used to turn the requested depth into a float
+    code, out, err = _run(capsys, "ns", "--mu", "float:2", "--depth", str(10**310))
+    assert code == EXIT_DOMAIN and out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("depth 372 is within it\n"), err
 
 
 def test_ns_summary(capsys):

@@ -186,6 +186,23 @@ def test_recurrence_refuses_an_argument_over_the_scaled_range():
     assert sign == -1.0 and logabs == pytest.approx(1024 * math.log(2.0))
 
 
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "1e400"])
+def test_every_realization_refuses_a_non_finite_mu(mu):
+    # the recursion returned nan and the angular form inf; 10**400 raised OverflowError
+    for realization in (lambda: g_value(3, 0.0, mu), lambda: g_value_recursive(3, 0.0, mu),
+                        lambda: angular_form(3, 1.0, mu), lambda: g_zeros(3, mu)):
+        with pytest.raises(DomainError, match="parameter must be finite"):
+            realization()
+
+
+def test_recursion_refuses_arguments_where_a_step_would_overflow():
+    # G_1 / 2 = (mu - lam) / 2 overflowed, and 0 * inf made the result nan
+    with pytest.raises(DomainError, match="not below 2\\^510"):
+        g_value_recursive(3, 1e308, -1e308)
+    assert g_value_recursive(3, 2.0**509, -(2.0**509)) == g_value(3, 2.0**509, -(2.0**509))
+
+
 @pytest.mark.parametrize("k", [3, 8])
 def test_relative_residual_is_finite_where_the_value_overflows(k):
     # G_k / 2^k overflows a double, its relative residual does not

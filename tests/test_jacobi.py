@@ -271,9 +271,9 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 @pytest.mark.parametrize("mu", _NON_FINITE)
 @pytest.mark.parametrize("closed_form", [
     isolated_eigenvalue, isolated_mass, critical_index, band_edge_index,
-    lambda mu: ac_density(0.0, mu),
+    lambda mu: ac_density(0.0, mu), jstar_band,
 ], ids=["isolated_eigenvalue", "isolated_mass", "critical_index", "band_edge_index",
-        "ac_density"])
+        "ac_density", "jstar_band"])
 def test_closed_forms_refuse_a_non_finite_mu(closed_form, mu):
     with pytest.raises(DomainError, match="parameter must be finite"):
         closed_form(mu)
@@ -283,8 +283,9 @@ def test_closed_forms_refuse_a_non_finite_mu(closed_form, mu):
                          ids=["int", "negative-int", "fraction"])
 def test_a_parameter_past_the_float_range_is_refused(mu):
     # float(mu) raises OverflowError for these; the guard reports it as a domain error
-    with pytest.raises(DomainError, match="parameter must be finite"):
-        isolated_eigenvalue(mu)
+    for closed_form in (isolated_eigenvalue, jstar_band, lambda mu: jstar_truncation(mu, 3)):
+        with pytest.raises(DomainError, match="parameter must be finite"):
+            closed_form(mu)
 
 
 @pytest.mark.parametrize("x", _NON_FINITE)

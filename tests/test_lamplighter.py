@@ -466,6 +466,23 @@ def test_phi_det_rejects_non_finite_lam(lam):
         phi_det_signlog(3, lam, 0.3)
 
 
+def test_an_int_mu_is_taken_as_its_float():
+    # mu * c kept c's uint8 for an int mu, and -1 overflowed it
+    rep = build_level(1)
+    assert (pencil_matrix(rep, -1) == pencil_matrix(rep, -1.0)).all()
+    assert phi_det_signlog(1, 0.0, -1) == phi_det_signlog(1, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "1e400"])
+def test_level_routes_refuse_a_non_finite_mu(mu):
+    # the LU route returned (1.0, nan), the factored route (-1.0, inf) at level 0
+    for route in (lambda: pencil_matrix(build_level(1), mu), lambda: phi_det_signlog(1, 0.0, mu),
+                  lambda: phi_factorized_signlog(0, 0.5, mu)):
+        with pytest.raises(DomainError, match="parameter must be finite"):
+            route()
+
+
 def test_pencil_is_assembled_once_per_level_and_parameter(monkeypatch):
     lamplighter._pencil_entries.cache_clear()
     calls = []

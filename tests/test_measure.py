@@ -51,8 +51,9 @@ def test_parse_format_round_trip():
 def test_non_finite_parameters_rejected(text):
     with pytest.raises(DomainError):
         parse_mu(text)
-    with pytest.raises(DomainError):
-        FloatMu(float(text.removeprefix("float:")))
+    value = float(text.removeprefix("float:"))
+    with pytest.raises(DomainError, match=f"parameter must be finite, got {value!r}$"):
+        FloatMu(value)
 
 
 _HUGE = 10 ** 400  # beyond the largest double, about 1.8e308
@@ -84,6 +85,24 @@ def test_b1_value_has_period_q_in_the_index(p, q, n0):
     assert mu_value(B1Mu(1, 5, 10 ** 15 + 3)) == mu_value(B1Mu(1, 5, 3))
     # a huge index has a float value once reduced: -2 cos(4 pi/5)
     assert mu_value(B1Mu(4, 5, _HUGE + 1)) == mu_value(B1Mu(4, 5, 1))
+
+
+@pytest.mark.parametrize("mu", [_HUGE, -_HUGE, Fraction(_HUGE, 3)],
+                         ids=["1e400", "-1e400", "1e400/3"])
+def test_a_float_parameter_past_the_float_range_rejected(mu):
+    # float(mu) raised a bare OverflowError in both
+    with pytest.raises(DomainError, match="parameter must be finite, got a value past"):
+        FloatMu(mu)
+    with pytest.raises(DomainError, match="parameter must be finite, got a value past"):
+        measure.coalesce_tol(mu)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, _HUGE], ids=["nan", "inf", "1e400"])
+def test_the_cdf_midpoints_refuse_a_non_finite_point(x):
+    # NaN used to count every atom as below it
+    trunc = measure_truncation(FloatMu(0.3), 6)
+    with pytest.raises(DomainError, match="x must be finite"):
+        measure.measure_cdf_mids(trunc, [0.0, x])
 
 
 def test_huge_exact_parts_with_a_float_value_accepted():

@@ -240,6 +240,12 @@ def test_each_zero_passes_the_sturm_certificate(mu, depth):
         assert e.x_m == pytest.approx(float(mu) + 2 / float(mu) - e.gap, rel=1e-15)
 
 
+def test_depth_past_the_float_range_is_refused_by_the_work_bound():
+    # the message names the precision where the bound was hit, never float(M)
+    with pytest.raises(DomainError, match=r"at m=373\); depth 372 is within it"):
+        gap_sequence(2.0, 10**400)
+
+
 def test_work_bound_refuses_before_any_mp_work(monkeypatch):
     solved = []
 
