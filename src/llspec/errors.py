@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the finite-float guard that raises one."""
+"""Exception types shared across the library, and the guards of float and size arguments."""
 
 import math
 
@@ -37,3 +37,20 @@ def _finite(value, name: str = "parameter") -> float:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _int_text(value: int) -> str:
+    """str(value), or its bit length where the integer is too long for Python to print."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+        return f"an integer of {abs(value).bit_length()} bits"
+
+
+def _size(value: int, name: str, low: int = 1, high: int | None = None) -> int:
+    """value, refused unless low <= value <= high: the guard of every size argument."""
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} must be <= {high}, got {_int_text(value)}")
+    return value

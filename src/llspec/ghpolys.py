@@ -32,9 +32,9 @@ import math
 
 import numpy as np
 
-from .chebyshev import _BIG, _BIG_INV, _X_MAX, _ldexp_safe, u_pair_scaled
-from .errors import DomainError, _finite
-from .jacobi import jstar_truncation, tridiag_eigs
+from .chebyshev import _BIG, _BIG_INV, _DEGREE_MAX, _X_MAX, _ldexp_safe, u_pair_scaled
+from .errors import DomainError, _finite, _size
+from .jacobi import _TRUNCATION_MAX, jstar_truncation, tridiag_eigs
 
 _LN2 = math.log(2.0)
 
@@ -45,8 +45,7 @@ def _g_terms(k: int, lam: float, mu: float) -> tuple[float, float, int]:
     G_k / 2^k = (u + v) 2^e: the one scaled-recurrence evaluation behind
     g_value, g_residual and g_signlog.
     """
-    if k < 1:
-        raise DomainError("index k must be >= 1")
+    _size(k, "index k", 1, _DEGREE_MAX)
     lam, mu = _finite(lam, "lam"), _finite(mu)
     s = (-lam - mu) / 4.0
     if not math.isfinite(s):  # -lam - mu overflows, and the recurrence would give NaN
@@ -90,8 +89,7 @@ def g_value_recursive(k: int, lam: float, mu: float) -> float:
     an independent oracle for the closed form.  lam and mu are taken below
     2^510 in size, so no step overflows into NaN before its rescale.
     """
-    if k < 1:
-        raise DomainError("index k must be >= 1")
+    _size(k, "index k", 1, _DEGREE_MAX)
     lam, mu = _finite(lam, "lam"), _finite(mu)
     if not max(abs(lam), abs(mu)) < _X_MAX:
         raise DomainError(f"lam={lam!r} or mu={mu!r} is not below 2^510 in size")
@@ -112,8 +110,7 @@ def angular_form(k: int, t: float, mu: float) -> float:
     Its zeros in t on (0, pi) are exactly the in-band zeros of G_k under the
     parametrization lam = -mu - 4 cos(t).
     """
-    if k < 1:
-        raise DomainError("index k must be >= 1")
+    _size(k, "index k", 1, _DEGREE_MAX)  # g_value's k, so the identity holds wherever both run
     if not 0.0 < t < math.pi:
         raise DomainError("angular parameter must lie strictly inside (0, pi)")
     mu = _finite(mu)
@@ -125,7 +122,6 @@ def g_zeros(k: int, mu: float) -> np.ndarray:
 
     Computed as -2 times the eigenvalues of the k x k truncation of J*(mu).
     """
-    if k < 1:
-        raise DomainError("index k must be >= 1")
+    _size(k, "index k", 1, _TRUNCATION_MAX)
     eigs = tridiag_eigs(jstar_truncation(mu, k))
     return np.sort(-2.0 * eigs)

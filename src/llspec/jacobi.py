@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _size
 
 if TYPE_CHECKING:
     import numpy as np
 
 _TINY = 2.2250738585072014e-308  # smallest normal double
+# largest truncation: solved as a dense n x n matrix, 0.5 s and 32 MB at 2000 on 2 cores
+_TRUNCATION_MAX = 2000
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,7 @@ class TridiagonalMatrix:
 
 def jstar_truncation(mu: float, n: int) -> TridiagonalMatrix:
     """The n x n leading truncation of J*(mu)."""
-    if n < 1:
-        raise DomainError("truncation size must be >= 1")
+    _size(n, "truncation size", 1, _TRUNCATION_MAX)
     mu = _finite(mu)
     import numpy as np
 

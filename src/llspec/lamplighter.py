@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, DomainError, _finite
+from .errors import CapacityError, ConvergenceError, DomainError, _finite, _int_text, _size
 from .ghpolys import g_signlog
 from .measure import _g_exponent
 
@@ -40,18 +40,20 @@ from .measure import _g_exponent
 # 30 * 4^n bytes; 2 GiB admits 13, refuses 14
 _LEVEL_BYTES_PER_ENTRY = 30
 _LEVEL_BYTES_MAX = 2 << 30
+# highest level of the factored product: G_1's exponent 2^(n-2) is a double up to n = 1025
+_FACTORIZED_LEVEL_MAX = 1025
 # cyclic sweeps `dense_eigs` may run, and its stopping threshold relative to ||M||_F
 _SWEEP_LIMIT = 50
 _TOL_FACTOR = 1e-12
 
 
 def _check_level(n: int):
-    if n < 0:
-        raise DomainError("level must be nonnegative")
+    _size(n, "level", 0)
     # min() keeps the integer small for any n; 30 * 4^64 is over any budget
     if _LEVEL_BYTES_PER_ENTRY << (2 * min(n, 64)) > _LEVEL_BYTES_MAX:
+        level = _int_text(n)
         raise CapacityError(
-            f"level {n} needs {_LEVEL_BYTES_PER_ENTRY} * 4^{n} bytes of dense matrices, "
+            f"level {level} needs {_LEVEL_BYTES_PER_ENTRY} * 4^{level} bytes of dense matrices, "
             f"over the budget of {_LEVEL_BYTES_MAX >> 30} GiB"
         )
 
@@ -108,7 +110,10 @@ def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
     lam = _finite(lam, "lam")
     # the pencil holds no -0.0, so for finite lam this is M - lam I bit for bit
     m = _pencil_entries(n, mu).copy()
-    m.flat[:: m.shape[0] + 1] -= lam
+    with np.errstate(over="ignore"):
+        m.flat[:: m.shape[0] + 1] -= lam
+    if not np.isfinite(m.diagonal()).all():
+        raise DomainError(f"the diagonal of M_n(mu) - lam I overflows at lam={lam!r}, mu={mu!r}")
     sign, logabs = np.linalg.slogdet(m)
     return float(sign), float(logabs)
 
@@ -119,10 +124,9 @@ def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]
     The factor G_k enters with exponent `measure._g_exponent(n, k)`; at n = 0 the
     lead factor 4 - lam - mu is the whole product.
     Working in log-magnitude keeps exponents of order 2^n exact where plain
-    floats would overflow by n around 15.
+    floats would overflow by n around 15; a ln|Phi_n| past the float range is refused.
     """
-    if n < 0:
-        raise DomainError("factorized form needs n >= 0")
+    _size(n, "level", 0, _FACTORIZED_LEVEL_MAX)
     lam, mu = _finite(lam, "lam"), _finite(mu)
     lead = 4.0 - lam - mu
     if lead == 0.0:
@@ -137,6 +141,10 @@ def phi_factorized_signlog(n: int, lam: float, mu: float) -> tuple[float, float]
         logabs += exponent * gl
         if gs < 0.0 and exponent % 2 == 1:
             sign = -sign
+    if not math.isfinite(lead):  # at n >= 1, G_1 has refused this overflow already
+        raise DomainError(f"the lead factor 4 - lam - mu overflows at lam={lam!r}, mu={mu!r}")
+    if not math.isfinite(logabs):  # a term 2^j ln|G_k| overflows for n near the limit
+        raise DomainError(f"ln|Phi_{n}| overflows in its sum over G_k at lam={lam!r}, mu={mu!r}")
     return sign, logabs
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _size
 from .jacobi import band_edge_index
 
 
@@ -321,12 +321,13 @@ class AtomicMeasure:
 
 
 _position = operator.attrgetter("position")
+# deepest truncation: the zeros of G_1 .. G_depth cost depth^4, 0.8 s at 300 on 2 cores
+_DEPTH_MAX = 300
 
 
 def tail_mass(depth: int) -> Fraction:
     """Exact mass not collected by a depth-K truncation: (K+2) 2^-(K+1)."""
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    _size(depth, "depth", 1, _DEPTH_MAX)
     return Fraction(depth + 2, 2 ** (depth + 1))
 
 
@@ -349,8 +350,7 @@ def measure_truncation(mu: MuParam, depth: int) -> AtomicMeasure:
     """
     from .ghpolys import g_zeros  # and so numpy: parsing a parameter needs neither
 
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    _size(depth, "depth", 1, _DEPTH_MAX)
     x = mu_value(mu)
     tol = coalesce_tol(x)
     cls = classify_mu(mu)

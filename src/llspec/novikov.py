@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import ConvergenceError, DomainError, InsufficientDataError
+from .errors import ConvergenceError, DomainError, InsufficientDataError, _int_text
 from .jacobi import as_fraction, band_edge_index, critical_index
 
 _LN2 = math.log(2.0)
@@ -203,7 +203,7 @@ def gap_sequence(mu, M: int) -> GapSequence:
         if work > _WORK_MAX:
             within = f"depth {m - 1} is" if m - start >= _MIN_ENTRIES else "no depth is"
             raise DomainError(
-                f"gap sequence to depth {M} at mu={muf:g} exceeds the work bound "
+                f"gap sequence to depth {_int_text(M)} at mu={muf:g} exceeds the work bound "
                 f"{_WORK_MAX:g} (precision {_digits(abs(muf), m)} digits at m={m}); "
                 f"{within} within it"
             )

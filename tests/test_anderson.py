@@ -274,7 +274,7 @@ def test_line_walk_reads_philox_windows(monkeypatch):
 
 @pytest.mark.parametrize(
     "sites, message",
-    [(0, "window length must be >= 1"), (1, "need at least two sites"),
+    [(0, "window length must be >= 1"), (1, "sites must be >= 2"),
      (3, "no interior blocks; windows too short")],
 )
 def test_line_walk_errors_match_one_window(sites, message):
@@ -292,6 +292,15 @@ def test_line_walk_errors_match_one_window(sites, message):
 def test_sample_refuses_a_bit_other_than_zero_or_one_and_a_non_finite_mu(bits, mu, message):
     with pytest.raises(DomainError, match=message):
         _sample_from_bits(bits, mu)
+
+
+@pytest.mark.parametrize("seed, shown", [(2**128, str(2**128)), (-10**400, str(-10**400)),
+                                         (10**5000, "an integer of 16610 bits")],
+                         ids=["2^128", "-10^400", "10^5000"])
+def test_seed_refusal_prints_any_seed(seed, shown):
+    # past 4300 digits Python cannot print an integer, and the message said so in a ValueError
+    with pytest.raises(DomainError, match=f"^seed must be in \\[0, 2\\*\\*128\\), got {shown}$"):
+        sample_window(seed, 0, 4)
 
 
 def test_sample_refuses_a_parameter_past_the_float_range():

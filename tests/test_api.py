@@ -203,17 +203,22 @@ def test_every_record_field_is_read():
 
 
 # The library's contract: every public function and method, given each
-# float-valued argument from the edges of the double range and past it,
-# returns or raises one of the four typed errors.  A NaN or infinite argument
-# is refused, and no result holds a NaN.  Ints and Fractions past the float
-# range may be taken exactly (`critical_index(10**400)` is 1) or refused.
+# float-valued argument from the edges of the double range and past it, and
+# each size from below its minimum to past any limit, returns or raises one of
+# the four typed errors.  A NaN or infinite argument is refused, a size of
+# 10**400 or more too, and no result holds a NaN.  Ints and Fractions past the
+# float range may be taken exactly (`critical_index(10**400)` is 1) or refused.
 _EXTREMES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, -1,
              10**400, -10**400, Fraction(10**400, 3))
 _FLOATS = {"mu", "lam", "x", "t", "position"}
 _FLOAT_LISTS = {"xs", "checkpoints"}
-# sizes are held at small valid values: bounding them is a question of its own
-_SIZES = {"n": 3, "k": 3, "depth": 6, "M": 12, "level": 2, "sites": 2000, "length": 64,
-          "seed": 7, "offset": 0}
+# a small valid value of each size; each size is drawn from it, -1, 0 and two
+# values past every limit, the second too long for Python to print
+_SIZES = {"n": 3, "k": 3, "depth": 6, "M": 12, "level": 2, "sites": 2000, "length": 64}
+_HUGE = (10**400, 10**5000)
+# a Philox key and an absolute site, drawn like sizes but not sizes: a seed
+# outside [0, 2^128) is refused, and an offset of any size wraps the Philox period
+_POSITIONS = {"seed": 7, "offset": 0}
 _TYPED = (DomainError, CapacityError, ConvergenceError, InsufficientDataError)
 # generous against a shared 2-core machine; the slowest call takes milliseconds
 _CALL_SECONDS = 5.0
@@ -255,8 +260,8 @@ def _argument(name: str, annotation):
     records = _records()
     if name in records or annotation in records:
         return st.sampled_from(records[name if name in records else annotation])
-    if name in _SIZES:
-        return st.just(_SIZES[name])
+    if name in _SIZES or name in _POSITIONS:
+        return st.sampled_from((-1, 0, {**_SIZES, **_POSITIONS}[name], *_HUGE))
     if name in _FLOATS:
         return st.sampled_from(_EXTREMES)
     if name in _FLOAT_LISTS:
@@ -300,6 +305,7 @@ def test_every_public_function_returns_or_raises_a_typed_error(module, cls, name
     params = () if is_property else inspect.signature(getattr(owner, name)).parameters.values()
     args = {p.name: data.draw(_argument(p.name, p.annotation), label=p.name) for p in params}
     scalars = [v for a in args.values() for v in (a if isinstance(a, list) else [a])]
+    huge = [n for n in _SIZES if args.get(n) in _HUGE]
     start = time.perf_counter()
     try:
         result = getattr(owner, name) if is_property else getattr(owner, name)(**args)
@@ -307,5 +313,39 @@ def test_every_public_function_returns_or_raises_a_typed_error(module, cls, name
         pass
     else:
         assert not any(map(_non_finite, scalars)), f"a non-finite argument gave {result!r}"
+        assert not huge, f"a huge {huge[0]} was taken"
         assert not _holds_nan(result), result
     assert time.perf_counter() - start < _CALL_SECONDS
+
+
+def _hand_written_size_checks(tree) -> list[int]:
+    """Lines of `if` tests that compare a size parameter with a constant and raise DomainError."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        sizes = {a.arg for a in func.args.args + func.args.kwonlyargs} & set(_SIZES)
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.If) and any(
+                    isinstance(r, ast.Raise) and "DomainError" in ast.unparse(r)
+                    for stmt in node.body for r in ast.walk(stmt))):
+                continue
+            compares = [[c.left, *c.comparators] for c in ast.walk(node.test)
+                        if isinstance(c, ast.Compare)]
+            if any(any(isinstance(s, ast.Name) and s.id in sizes for s in sides) and any(
+                    isinstance(s, ast.Constant) or isinstance(s, ast.Name)
+                    and s.id.lstrip("_").isupper() for s in sides) for sides in compares):
+                found.append(node.lineno)
+    return found
+
+
+def test_sizes_are_refused_by_the_one_guard():
+    # `errors._size` alone refuses a size against its minimum or limit, as
+    # `errors._finite` alone refuses a float: a hand-written check fails here
+    found = [f"{name}:{line}" for name, tree in _module_trees().items() if name != "errors.py"
+             for line in _hand_written_size_checks(tree)]
+    assert found == []
+    # the scan sees the checks it forbids, against a literal or a module constant
+    sample = ast.parse("def f(k, depth):\n    if k < 1 or depth > _DEPTH_MAX:\n"
+                       "        raise DomainError('no')\n")
+    assert _hand_written_size_checks(sample) == [2]

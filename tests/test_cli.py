@@ -639,6 +639,16 @@ def test_mu_beyond_the_same_point_rule_exits_two(capsys, recwarn, argv):
     assert len(recwarn) == 0
 
 
+def test_level_zero_determinant_past_the_float_range_exits_two(capsys, recwarn):
+    # 4 - mu - lam is 2e308 at level 0, where no level polynomial refuses it first
+    code, out, err = _run(capsys, "char-poly", "--level", "0", "--mu", "float:-1e308",
+                          "--grid=-1e308", "--check")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.splitlines() == ["error: the diagonal of M_n(mu) - lam I overflows at "
+                                "lam=-1e+308, mu=-1e+308"]
+    assert len(recwarn) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

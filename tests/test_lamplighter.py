@@ -90,8 +90,38 @@ def test_phi_factorized_values():
     # level 0 is the lead factor 4 - lam - mu alone; a negative level has no product
     sign, logabs = phi_factorized_signlog(0, 1.0, 0.3)
     assert sign == 1.0 and math.exp(logabs) == pytest.approx(2.7, rel=1e-15)
-    with pytest.raises(DomainError, match="needs n >= 0"):
+    with pytest.raises(DomainError, match="level must be >= 0"):
         phi_factorized_signlog(-1, 1.0, 0.3)
+
+
+def test_phi_factorized_stops_where_its_logarithm_leaves_the_doubles():
+    # G_1's exponent 2^(n-2) is a double up to n = 1025, and ln|Phi_1025| still is here
+    sign, logabs = phi_factorized_signlog(1025, 0.5, 0.3)
+    assert sign == 1.0 and logabs == pytest.approx(1.53e307, rel=1e-3)
+    with pytest.raises(DomainError, match="^level must be <= 1025, got 1026$"):
+        phi_factorized_signlog(1026, 0.5, 0.3)
+    # within the limit, 2^1023 ln|G_1| and 2^1022 ln|G_2| overflow with opposite
+    # signs near a zero of G_2, and their sum was NaN
+    with pytest.raises(DomainError, match=r"ln\|Phi_1025\| overflows"):
+        phi_factorized_signlog(1025, -math.sqrt(29.0), 5.0)
+
+
+def test_level_zero_product_past_the_float_range_is_refused(recwarn):
+    # at level 0 the product is 4 - lam - mu, which no level polynomial checks
+    with pytest.raises(DomainError, match="diagonal of M_n"):
+        phi_det_signlog(0, -1e308, -1e308)
+    with pytest.raises(DomainError, match="lead factor 4 - lam - mu overflows"):
+        phi_factorized_signlog(0, -1e308, -1e308)
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("n, shown", [(10**400, str(10**400)),
+                                      (10**5000, "an integer of 16610 bits")],
+                         ids=["10^400", "10^5000"])
+def test_capacity_refusal_prints_any_level(n, shown):
+    # past 4300 digits Python cannot print an integer, and the message said so in a ValueError
+    with pytest.raises(CapacityError, match=f"^level {shown} needs 30 \\* 4\\^{shown} bytes"):
+        build_level(n)
 
 
 def test_phi_routes_agree_on_random_draws():

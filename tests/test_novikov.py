@@ -244,6 +244,11 @@ def test_depth_past_the_float_range_is_refused_by_the_work_bound():
     # the message names the precision where the bound was hit, never float(M)
     with pytest.raises(DomainError, match=r"at m=373\); depth 372 is within it"):
         gap_sequence(2.0, 10**400)
+    # the depth is printed as given, up to Python's 4300-digit limit on printing
+    with pytest.raises(DomainError, match=f"^gap sequence to depth {10**400} at mu=2 exceeds"):
+        gap_sequence(2.0, 10**400)
+    with pytest.raises(DomainError, match="^gap sequence to depth an integer of 16610 bits at"):
+        gap_sequence(2.0, 10**5000)
 
 
 def test_work_bound_refuses_before_any_mp_work(monkeypatch):
