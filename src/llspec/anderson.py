@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import DomainError, _finite, _int_text, _size
-from .jacobi import TridiagonalMatrix, tridiag_eigs_batch
+from .jacobi import _BATCH_ENTRIES_MAX, TridiagonalMatrix, tridiag_eigs_batch
 from .measure import AtomicMeasure, coalesce_tol, measure_cdf_mids, mu_value
 
 _PHILOX_BLOCK = 4  # native 64-bit outputs per counter increment
@@ -40,7 +40,9 @@ _PHILOX_KEYS = 2 ** 128  # a seed is a Philox key, one of 0 .. 2^128 - 1
 _WINDOW = 1 << 14
 # longest window: 17 bytes a site at once (draws, parities, bits), 170 MB at 10^7
 _LENGTH_MAX = 10**7
-# longest line: `dos --sites`'s limit; memory stays bounded, time took 7.2 s on 2 cores
+# longest line, also `dos --sites`'s limit: memory stays bounded; on 2 cores
+# `line_ids` took 7.2 s and `dos` wrote 10^7 sites of CSV in 2.8 s, so this
+# stays near 28 s, inside `cli._GRID_SECONDS_MAX`; 10^9 would write about 40 GB
 _SITES_MAX = 10**8
 # points of the `dos` comparison grid
 _CHECKPOINTS = 50
@@ -183,7 +185,11 @@ class _BlockCounts:
         values, counts = [], []
         for size, tally in self.copies.items():
             rows = np.frombuffer(b"".join(tally), dtype=np.float64).reshape(len(tally), -1)
-            values.append(tridiag_eigs_batch(rows[:, :size], rows[:, size:]).ravel())
+            # batches within the dense limit, one row at least, so a block over the
+            # solver's size limit is refused by it; rows are solved alone, so no bit moves
+            step = max(_BATCH_ENTRIES_MAX // size**2, 1)
+            values.extend(tridiag_eigs_batch(rows[i:i + step, :size], rows[i:i + step, size:]).ravel()
+                          for i in range(0, len(rows), step))
             counts.append(np.repeat(np.fromiter(tally.values(), np.int64, len(tally)), size))
         values, counts = np.concatenate(values), np.concatenate(counts)
         patterns = values.view(np.uint64)

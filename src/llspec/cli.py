@@ -133,9 +133,6 @@ def _tolerance(text: str) -> float:
 # on 2 cores the slowest, `zeros --check` at one mu, took 1.0 s at depth 200
 # and 6.0 s at 400 (`dos --check`: 1.0 s and 3.7 s)
 _DEPTH_MAX = 200
-# most --sites of dos: on 2 cores 10^7 sites took 2.8 s as CSV, so this stays near
-# 28 s, inside the grid budget `_GRID_SECONDS_MAX`; 10^9 would write about 40 GB
-_SITES_MAX = 10**8
 
 
 def _open_out(path: str | None):
@@ -469,8 +466,7 @@ def _cmd_dos(args) -> _Result:
     from . import anderson, measure
 
     depth = _size(args.depth, "depth", 1, _DEPTH_MAX)
-    if not 1 <= args.sites <= _SITES_MAX:
-        raise DomainError(f"--sites must be in [1, {_SITES_MAX}], got {args.sites}")
+    _size(args.sites, "--sites", 1, anderson._SITES_MAX)
     mu_param = measure.parse_mu(args.mu)
     mu = measure.mu_value(mu_param)
     ids = anderson.line_ids(args.seed, args.sites, mu)

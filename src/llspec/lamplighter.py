@@ -34,11 +34,11 @@ from .errors import CapacityError, ConvergenceError, DomainError, _finite, _int_
 from .ghpolys import g_signlog
 from .measure import _g_exponent
 
-# memory a level may take: `phi_det_signlog` holds three float64 copies of
-# 8 * 4^n bytes (the cached pencil, the shifted copy and LAPACK's), and peak
-# RSS grew by 26-28 bytes per 4^n at levels 10 and 11, so a level is budgeted
-# 30 * 4^n bytes; 2 GiB admits 13, refuses 14
-_LEVEL_BYTES_PER_ENTRY = 30
+# memory a level may take: `phi_det_signlog` holds two float64 copies of
+# 8 * 4^n bytes (the cached pencil and LAPACK's), and peak RSS grew by 17.7
+# bytes per 4^n from level 2 to level 11, so a level is budgeted 20 * 4^n
+# bytes; 2 GiB admits 13, refuses 14
+_LEVEL_BYTES_PER_ENTRY = 20
 _LEVEL_BYTES_MAX = 2 << 30
 # highest level of the factored product: G_1's exponent 2^(n-2) is a double up to n = 1025
 _FACTORIZED_LEVEL_MAX = 1025
@@ -49,7 +49,7 @@ _TOL_FACTOR = 1e-12
 
 def _check_level(n: int):
     _size(n, "level", 0)
-    # min() keeps the integer small for any n; 30 * 4^64 is over any budget
+    # min() keeps the integer small for any n; 20 * 4^64 is over any budget
     if _LEVEL_BYTES_PER_ENTRY << (2 * min(n, 64)) > _LEVEL_BYTES_MAX:
         level = _int_text(n)
         raise CapacityError(
@@ -85,35 +85,42 @@ def build_level(n: int) -> LevelRep:
 
 def pencil_matrix(rep: LevelRep, mu: float) -> np.ndarray:
     """The symmetric float64 matrix a + a^T + b + b^T - mu c of the level."""
-    mu = _finite(mu)  # an int mu times the uint8 c would keep uint8 and overflow
+    mu = _finite(mu)
     # summed in place, in the order of a + a.T + b + b.T - mu * c, so at level
-    # 12 two float copies (134 MB each) are live at once instead of five
+    # 12 one float copy (134 MB) is live instead of five; mu goes onto c's 2^n
+    # entries alone, since elsewhere m - mu * 0 is m (m holds sums of 0s and 1s, no -0.0)
     m = rep.a.astype(float)
     m += rep.a.T
     m += rep.b
     m += rep.b.T
-    m -= mu * rep.c
+    m[rep.c.nonzero()] -= mu
     return m
 
 
 @functools.lru_cache(maxsize=1)
-def _pencil_entries(n: int, mu: float) -> np.ndarray:
-    """M_n(mu) as a read-only array, kept for the next call with the same (n, mu)."""
+def _pencil_entries(n: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """M_n(mu) and a copy of its diagonal, kept for the next call with the same (n, mu)."""
     m = pencil_matrix(build_level(n), mu)
-    m.flags.writeable = False
-    return m
+    return m, m.diagonal().copy()
 
 
 def phi_det_signlog(n: int, lam: float, mu: float) -> tuple[float, float]:
-    """(sign, ln|Phi_n|) from an LU determinant of M_n(mu) - lam I."""
+    """(sign, ln|Phi_n|) from an LU determinant of M_n(mu) - lam I.
+
+    Each call writes the diagonal of M_n(mu) - lam I onto the cached pencil and
+    hands that one matrix to slogdet, which copies it for LAPACK, so a level
+    holds two float64 copies at once.  The shared matrix makes this function
+    unfit for concurrent calls from threads.
+    """
     _check_level(n)
     lam = _finite(lam, "lam")
-    # the pencil holds no -0.0, so for finite lam this is M - lam I bit for bit
-    m = _pencil_entries(n, mu).copy()
+    m, diag = _pencil_entries(n, mu)
     with np.errstate(over="ignore"):
-        m.flat[:: m.shape[0] + 1] -= lam
-    if not np.isfinite(m.diagonal()).all():
+        shifted = diag - lam
+    if not np.isfinite(shifted).all():
         raise DomainError(f"the diagonal of M_n(mu) - lam I overflows at lam={lam!r}, mu={mu!r}")
+    # the pencil holds no -0.0, so for finite lam this is M - lam I bit for bit
+    np.fill_diagonal(m, shifted)
     sign, logabs = np.linalg.slogdet(m)
     return float(sign), float(logabs)
 

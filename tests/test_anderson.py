@@ -243,6 +243,23 @@ def _same_pairs(a, b):
     )
 
 
+def test_pooled_batches_stay_within_the_dense_limit(monkeypatch):
+    # 50 distinct interior blocks of size 8, pooled under a limit of three
+    # blocks: batches of at most three rows, with the bits of one batch
+    size, blocks = 8, 52
+    diag = np.random.default_rng(3).standard_normal(size * blocks)
+    off = np.full(size * blocks - 1, 2.0)
+    off[size - 1 :: size] = 0.0
+    sample = anderson.JacobiSample(diag=diag, offdiag=off, mu=0.3)
+    whole = empirical_ids([sample])
+    shapes, real = [], anderson.tridiag_eigs_batch
+    monkeypatch.setattr(anderson, "tridiag_eigs_batch",
+                        lambda d, o: shapes.append(d.shape) or real(d, o))
+    monkeypatch.setattr(anderson, "_BATCH_ENTRIES_MAX", 3 * size**2)
+    assert _same_pairs(empirical_ids([sample]), whole)
+    assert shapes == [(3, size)] * 16 + [(2, size)]
+
+
 @given(
     bits=st.lists(st.integers(0, 1), min_size=2, max_size=300),
     window=st.integers(4, 64),

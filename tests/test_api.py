@@ -319,12 +319,21 @@ def test_every_public_function_returns_or_raises_a_typed_error(module, cls, name
 
 
 def _hand_written_size_checks(tree) -> list[int]:
-    """Lines of `if` tests that compare a size parameter with a constant and raise DomainError."""
+    """Lines of `if` tests that compare a size with a constant and raise DomainError.
+
+    A size is a parameter named in `_SIZES`, or a command's `args.<name>` for such a name.
+    """
     found = []
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
         sizes = {a.arg for a in func.args.args + func.args.kwonlyargs} & set(_SIZES)
+
+        def is_size(side):
+            if isinstance(side, ast.Attribute):  # a command's args.<name>
+                return ast.unparse(side.value) == "args" and side.attr in _SIZES
+            return isinstance(side, ast.Name) and side.id in sizes
+
         for node in ast.walk(func):
             if not (isinstance(node, ast.If) and any(
                     isinstance(r, ast.Raise) and "DomainError" in ast.unparse(r)
@@ -332,7 +341,7 @@ def _hand_written_size_checks(tree) -> list[int]:
                 continue
             compares = [[c.left, *c.comparators] for c in ast.walk(node.test)
                         if isinstance(c, ast.Compare)]
-            if any(any(isinstance(s, ast.Name) and s.id in sizes for s in sides) and any(
+            if any(any(map(is_size, sides)) and any(
                     isinstance(s, ast.Constant) or isinstance(s, ast.Name)
                     and s.id.lstrip("_").isupper() for s in sides) for sides in compares):
                 found.append(node.lineno)
@@ -346,6 +355,8 @@ def test_sizes_are_refused_by_the_one_guard():
              for line in _hand_written_size_checks(tree)]
     assert found == []
     # the scan sees the checks it forbids, against a literal or a module constant
-    sample = ast.parse("def f(k, depth):\n    if k < 1 or depth > _DEPTH_MAX:\n"
+    sample = ast.parse("def f(k, depth, args):\n    if k < 1 or depth > _DEPTH_MAX:\n"
+                       "        raise DomainError('no')\n"
+                       "    if not 1 <= args.sites <= _SITES_MAX:\n"
                        "        raise DomainError('no')\n")
-    assert _hand_written_size_checks(sample) == [2]
+    assert _hand_written_size_checks(sample) == [2, 4]

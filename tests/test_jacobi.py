@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from llspec import jacobi
 from llspec.chebyshev import u_zeros
 from llspec.errors import DomainError
 from llspec.ghpolys import g_zeros
@@ -117,6 +118,23 @@ def test_batch_refuses_mismatched_shapes(diag, off):
     # numpy would raise a bare ValueError, or spread one row over the batch
     with pytest.raises(DomainError, match="do not fit diag rows"):
         tridiag_eigs_batch(diag, off)
+
+
+def test_batch_size_is_refused_before_allocating(monkeypatch):
+    # the dense (b, s, s) batch raised numpy's bare MemoryError ("7.28 TiB" at s = 10^6)
+    long_row = np.zeros((1, 10**6)), np.ones((1, 10**6 - 1))
+    wide = np.zeros((5, 2000)), np.ones((5, 1999))
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("a dense batch was allocated")
+
+    monkeypatch.setattr(np, "zeros", allocated)
+    with pytest.raises(DomainError, match="^tridiagonal size must be <= 2000, got 1000000$"):
+        tridiag_eigs_batch(*long_row)
+    with pytest.raises(DomainError, match="^dense batch entries must be <= 16777216, got 20000000$"):
+        tridiag_eigs_batch(*wide)
+    # the largest `g_zeros` solve is a quarter of the batch limit
+    assert jacobi._TRUNCATION_MAX ** 2 * 4 <= jacobi._BATCH_ENTRIES_MAX
 
 
 def test_empty_tridiagonal_is_refused():

@@ -120,7 +120,7 @@ def test_level_zero_product_past_the_float_range_is_refused(recwarn):
                          ids=["10^400", "10^5000"])
 def test_capacity_refusal_prints_any_level(n, shown):
     # past 4300 digits Python cannot print an integer, and the message said so in a ValueError
-    with pytest.raises(CapacityError, match=f"^level {shown} needs 30 \\* 4\\^{shown} bytes"):
+    with pytest.raises(CapacityError, match=f"^level {shown} needs 20 \\* 4\\^{shown} bytes"):
         build_level(n)
 
 
@@ -420,7 +420,7 @@ def test_dense_limit_refuses_a_level_the_rotation_solver_does_not_finish(monkeyp
 
 
 def test_level_over_the_memory_budget_is_refused_before_allocating(monkeypatch):
-    # 30 * 4^n bytes: level 13 (2.01 GB) fits the 2 GiB (2.15 GB) budget, level 14 (8.1 GB) does not
+    # 20 * 4^n bytes: level 13 (1.34 GB) fits the 2 GiB (2.15 GB) budget, level 14 (5.4 GB) does not
     lamplighter._check_level(13)
 
     def allocated(*args, **kwargs):
@@ -461,7 +461,9 @@ def test_level_budget_covers_the_measured_peak():
                  PYTHONPATH=str(Path(lamplighter.__file__).parents[1])),
     ).stdout
     base_kib, peak_kib = map(int, out.split())
-    assert (peak_kib - base_kib) * 1024 <= lamplighter._LEVEL_BYTES_PER_ENTRY * 4**11
+    # and the budget stays under three float64 copies of the level matrix (24
+    # bytes per entry), which a copy of the cached pencil per grid point took
+    assert (peak_kib - base_kib) * 1024 <= lamplighter._LEVEL_BYTES_PER_ENTRY * 4**11 < 24 * 4**11
 
 
 def test_factorized_large_level_does_not_overflow():
@@ -521,10 +523,15 @@ def test_pencil_is_assembled_once_per_level_and_parameter(monkeypatch):
     for lam in np.linspace(-6.0, 6.0, 25):
         phi_det_signlog(4, lam, 7 / 6)
     assert calls == [4]
-    cached = lamplighter._pencil_entries(4, 7 / 6)
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError):
-        cached[0, 0] = 1.0
+    # each call rewrites only the cached matrix's diagonal, from the kept copy
+    cached, diag = lamplighter._pencil_entries(4, 7 / 6)
+    fresh = pencil_matrix(real(4), 7 / 6)
+    off = ~np.eye(16, dtype=bool)
+    assert diag.tobytes() == fresh.diagonal().tobytes()
+    assert cached[off].tobytes() == fresh[off].tobytes()
+    sign, logabs = np.linalg.slogdet(fresh - 0.3 * np.eye(16))
+    assert phi_det_signlog(4, 0.3, 7 / 6) == (float(sign), float(logabs))
+    assert calls == [4]
 
 
 def test_capacity_is_checked_before_the_pencil_cache(monkeypatch):
